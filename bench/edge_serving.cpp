@@ -37,6 +37,7 @@
 #include "core/queueing.hpp"
 #include "dataflow/analyzer.hpp"
 #include "nn/mlp.hpp"
+#include "nn/plan.hpp"
 #include "nn/zoo.hpp"
 #include "serving/load_gen.hpp"
 #include "serving/server.hpp"
@@ -46,22 +47,25 @@ namespace {
 
 using namespace trident;
 
-/// Mean per-request service time of `model` on one warm replica (weights
-/// programmed once, then `iters` single-row batched forwards — exactly the
-/// runtime's batch-1 service path).
+/// Mean per-request service time of `model` on one warm replica of a
+/// server configured by `cfg`: the runtime's batch-1 service path, i.e.
+/// ExecutionPlan::run in a PlanArena (banks programmed and arena grown by
+/// one warm-up run, then `iters` single-row runs).
 [[nodiscard]] double calibrate_service_s(const nn::Mlp& model,
-                                         const core::PhotonicBackendConfig& cfg,
+                                         const serving::ServerConfig& cfg,
                                          int iters) {
-  core::PhotonicBackend backend(cfg);
+  const nn::ExecutionPlan plan(model, serving::Server::plan_config_for(cfg));
+  core::PhotonicBackend backend(cfg.backend);
+  nn::PlanArena arena;
   Rng rng(0xCA1Bu);
-  nn::Matrix x(1, static_cast<std::size_t>(model.layer_sizes().front()));
+  nn::Matrix x(1, plan.input_dim());
   for (double& v : x.data()) {
     v = rng.uniform(-1.0, 1.0);
   }
-  (void)model.forward_batch(x, backend);  // warm: program the banks
+  (void)plan.run(backend, x, arena);  // warm: program the banks
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < iters; ++i) {
-    (void)model.forward_batch(x, backend);
+    (void)plan.run(backend, x, arena);
   }
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(t1 - t0).count() / iters;
@@ -189,22 +193,19 @@ int real_runtime(const CliArgs& args) {
 
   Rng rng(0xED6Eu);
   const nn::Mlp model({512, 1024, 512, 10}, nn::Activation::kGstPhotonic, rng);
-  core::PhotonicBackendConfig backend;  // noise-free, 8-bit
-
-  const double service_s = calibrate_service_s(model, backend, 400);
-  const double qps = utilization / service_s;
-  std::cout << "\n=== Real runtime vs M/D/1 (batch=1, "
-            << utilization * 100.0 << "% utilization) ===\n\n"
-            << "calibrated service: " << service_s * 1e6 << " us  ->  "
-            << qps << " req/s offered, " << requests << " requests\n";
-
-  serving::ServerConfig cfg;
+  serving::ServerConfig cfg;  // noise-free, 8-bit photonic backend
   cfg.replicas = 1;
   cfg.max_batch = 1;
   cfg.max_wait = std::chrono::microseconds(0);
   cfg.admission.capacity = static_cast<std::size_t>(requests) + 1;
   cfg.admission.policy = serving::OverloadPolicy::kBlock;
-  cfg.backend = backend;
+
+  const double service_s = calibrate_service_s(model, cfg, 400);
+  const double qps = utilization / service_s;
+  std::cout << "\n=== Real runtime vs M/D/1 (batch=1, "
+            << utilization * 100.0 << "% utilization) ===\n\n"
+            << "calibrated service: " << service_s * 1e6 << " us  ->  "
+            << qps << " req/s offered, " << requests << " requests\n";
 
   nn::Vector probe(512);
   Rng input_rng = rng.split(7);
@@ -295,7 +296,7 @@ int real_runtime(const CliArgs& args) {
     scfg.max_wait = std::chrono::microseconds(mb == 1 ? 0 : 200);
     scfg.admission.capacity = 512;
     scfg.admission.policy = serving::OverloadPolicy::kBlock;
-    scfg.backend = backend;
+    scfg.backend = cfg.backend;
     serving::Server sat_server(model, scfg);
     serving::LoadGenConfig sat_load;
     // Well past single-replica capacity, anchored to the service time

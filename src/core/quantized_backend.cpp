@@ -393,222 +393,18 @@ double QuantizedBackend::matmul_error_bound(std::size_t cols,
   return x_scale * n * (we + xe + we * xe + 4.0 * n * eps);
 }
 
-// ---------------------------------------------------------------------------
-// QuantizedProgram
-// ---------------------------------------------------------------------------
-
-QuantizedProgram::QuantizedProgram(const nn::Mlp& model,
-                                   const nn::Matrix& calibration,
-                                   const QuantizedBackendConfig& config,
-                                   double range_margin)
-    : config_(config) {
-  TRIDENT_REQUIRE(config.weight_bits >= 1 && config.weight_bits <= 8,
-                  "quantized tier weight grid must fit int8");
-  TRIDENT_REQUIRE(config.input_bits >= 1 && config.input_bits <= 8,
-                  "quantized tier input grid must fit int8");
-  TRIDENT_REQUIRE(range_margin >= 1.0, "range margin must be >= 1");
-  const int depth = model.depth();
-  TRIDENT_REQUIRE(depth >= 1, "model has no layers");
-  TRIDENT_REQUIRE(calibration.cols() ==
-                      static_cast<std::size_t>(model.layer_sizes().front()),
-                  "calibration batch does not match the model input width");
-
-  // Calibration walk: the double reference over per-sample-normalised
-  // inputs (the network is positively homogeneous — ReLU/GST/identity — so
-  // normalising commutes with inference and the per-sample DAC scale can be
-  // re-applied at the output).
-  nn::Matrix xn = calibration;
-  for (std::size_t b = 0; b < xn.rows(); ++b) {
-    auto row = xn.row(b);
-    const double s = dac_scale(row);
-    for (double& v : row) {
-      v /= s;
-    }
+double QuantizedBackend::plan_error_bound(const nn::ExecutionPlan& plan,
+                                          double max_abs_x) const {
+  double m = max_abs_x;
+  double e = 0.0;
+  for (int k = 0; k < plan.depth(); ++k) {
+    const nn::PlanLayer& layer = plan.layer(k);
+    const double lipschitz = activation_lipschitz(layer.activation);
+    const double s = std::max(1.0, m + e);
+    e = lipschitz * (matmul_error_bound(layer.cols, s) + layer.norm_inf * e);
+    m = lipschitz * layer.norm_inf * m;
   }
-  nn::FloatBackend ref;
-  const nn::BatchForwardTrace trace = model.forward_batch(xn, ref);
-
-  const SymmetricQuantizer wq(config.weight_bits, 1.0);
-  const nn::Activation act = model.hidden_activation();
-  const double lipschitz = activation_lipschitz(act);
-  const double eps = std::numeric_limits<double>::epsilon();
-
-  double in_step = SymmetricQuantizer(config.input_bits, 1.0).step();
-  double in_range = 1.0;        // normalised inputs live in [-1, 1]
-  double e_in = in_step / 2.0;  // propagated per-element error bound
-
-  layers_.reserve(static_cast<std::size_t>(depth));
-  for (int k = 0; k < depth; ++k) {
-    const nn::Matrix& w = model.weight(k);
-    TRIDENT_REQUIRE(w.cols() <= nn::kInt8GemmMaxCols,
-                    "layer fan-in too large for exact int32 accumulation");
-    FusedLayer layer;
-    layer.rows = w.rows();
-    layer.cols = w.cols();
-    layer.w_step = wq.step();
-    layer.in_step = in_step;
-    layer.weights.resize(w.size());
-    wq.to_levels(w.data(), layer.weights);
-
-    const double n = static_cast<double>(w.cols());
-    // |ĥ − h| ≤ Σ |w|·|δy| + |δw|·|ŷ|, |w| ≤ 1, |ŷ| ≤ in_range, plus the
-    // reference's own float accumulation slop (the int path is exact).
-    double e_h = n * (e_in + (wq.step() / 2.0) * in_range) +
-                 4.0 * eps * n * n * std::max(1.0, in_range);
-
-    const bool last = (k == depth - 1);
-    if (last) {
-      unit_bound_ = e_h;
-      layers_.push_back(std::move(layer));
-      break;
-    }
-
-    // Calibrated pre-activation grid (8-bit, the LDSU comparator width).
-    double h_max = 0.0;
-    for (double v : trace.logits[static_cast<std::size_t>(k)].data()) {
-      h_max = std::max(h_max, std::abs(v));
-    }
-    layer.h_range = std::max(range_margin * h_max, 1e-6);
-    const SymmetricQuantizer hq(8, layer.h_range);
-    layer.h_step = hq.step();
-    layer.h_half_steps = (hq.levels() - 1) / 2;
-
-    // Output grid sized to the calibrated activation range, widened if
-    // needed so every h-grid level's activation image stays representable
-    // (otherwise the LUT itself would saturate invisibly).
-    double y_max = 0.0;
-    for (double v :
-         trace.activations[static_cast<std::size_t>(k) + 1].data()) {
-      y_max = std::max(y_max, std::abs(v));
-    }
-    double f_image = 0.0;
-    for (int l = -layer.h_half_steps; l <= layer.h_half_steps; ++l) {
-      f_image = std::max(
-          f_image, std::abs(nn::apply_activation(act, l * layer.h_step)));
-    }
-    const double y_range =
-        std::max({range_margin * y_max, f_image, 1e-6});
-    const SymmetricQuantizer oq(config.input_bits, y_range);
-    layer.out_step = oq.step();
-    layer.lut = phot::build_activation_lut(
-        [act](double h) { return nn::apply_activation(act, h); }, hq, oq);
-    layer.has_lut = true;
-
-    // Propagate: activation is `lipschitz`-Lipschitz, the h requantization
-    // adds h_step/2, landing on the next input grid adds out_step/2.
-    e_in = lipschitz * (e_h + layer.h_step / 2.0) + layer.out_step / 2.0;
-    in_range = y_range;
-    in_step = layer.out_step;
-    layers_.push_back(std::move(layer));
-  }
-}
-
-nn::Matrix QuantizedProgram::forward(const nn::Matrix& x,
-                                     bool* saturated) const {
-  TRIDENT_REQUIRE(x.cols() == layers_.front().cols,
-                  "input batch does not match the compiled model");
-  const std::size_t batch = x.rows();
-  bool sat = false;
-
-  // Layer-0 DAC: per-sample scale, quantize onto the unit input grid.
-  const SymmetricQuantizer in0(config_.input_bits, 1.0);
-  std::vector<double> scale(batch, 1.0);
-  std::size_t cur_cols = layers_.front().cols;
-  std::vector<std::int8_t> cur(batch * cur_cols);
-  std::vector<double> scaled(cur_cols);
-  for (std::size_t b = 0; b < batch; ++b) {
-    const auto row = x.row(b);
-    const double s = dac_scale(row);
-    scale[b] = s;
-    for (std::size_t c = 0; c < cur_cols; ++c) {
-      scaled[c] = row[c] / s;
-    }
-    in0.to_levels(scaled,
-                  std::span<std::int8_t>(cur.data() + b * cur_cols, cur_cols));
-  }
-
-  std::vector<std::int32_t> acc;
-  std::vector<std::int8_t> next;
-  nn::Matrix out(batch, layers_.back().rows);
-  for (std::size_t k = 0; k < layers_.size(); ++k) {
-    const FusedLayer& layer = layers_[k];
-    acc.resize(batch * layer.rows);
-    nn::int8_gemm(layer.weights.data(), layer.rows, layer.cols, cur.data(),
-                  batch, acc.data());
-    const double unit = layer.w_step * layer.in_step;
-    if (!layer.has_lut) {
-      // Output layer (identity): undo the carried per-sample DAC scale.
-      for (std::size_t b = 0; b < batch; ++b) {
-        auto yr = out.row(b);
-        const std::int32_t* ar = acc.data() + b * layer.rows;
-        for (std::size_t r = 0; r < layer.rows; ++r) {
-          yr[r] = static_cast<double>(ar[r]) * unit * scale[b];
-        }
-      }
-      break;
-    }
-    // Requantize the exact int32 pre-activation onto the h grid, then the
-    // fused activation table emits the next layer's input level directly.
-    next.resize(batch * layer.rows);
-    const double to_h = unit / layer.h_step;
-    for (std::size_t i = 0; i < acc.size(); ++i) {
-      long level = std::lround(static_cast<double>(acc[i]) * to_h);
-      if (level > layer.h_half_steps || level < -layer.h_half_steps) {
-        sat = true;  // left the calibrated envelope — bound no longer binds
-        level = std::clamp<long>(level, -layer.h_half_steps,
-                                 layer.h_half_steps);
-      }
-      next[i] = layer.lut(static_cast<std::int8_t>(level));
-    }
-    cur.swap(next);
-    cur_cols = layer.rows;
-  }
-
-  if (saturated != nullptr) {
-    *saturated = sat;
-  }
-  return out;
-}
-
-FastPathReport check_fast_path(const nn::Mlp& model,
-                               const nn::Matrix& calibration,
-                               const nn::Matrix& eval,
-                               const QuantizedBackendConfig& config) {
-  const QuantizedProgram program(model, calibration, config);
-
-  nn::FloatBackend ref;
-  const nn::BatchForwardTrace trace = model.forward_batch(eval, ref);
-
-  FastPathReport report;
-  report.exact = trace.activations.back();
-  report.fast = program.forward(eval, &report.saturated);
-
-  const std::size_t batch = eval.rows();
-  report.bound.resize(batch);
-  std::size_t agree = 0;
-  for (std::size_t b = 0; b < batch; ++b) {
-    report.bound[b] = dac_scale(eval.row(b)) * program.unit_error_bound();
-    const auto er = report.exact.row(b);
-    const auto fr = report.fast.row(b);
-    std::size_t e_arg = 0;
-    std::size_t f_arg = 0;
-    for (std::size_t r = 0; r < er.size(); ++r) {
-      report.max_abs_error =
-          std::max(report.max_abs_error, std::abs(fr[r] - er[r]));
-      if (er[r] > er[e_arg]) {
-        e_arg = r;
-      }
-      if (fr[r] > fr[f_arg]) {
-        f_arg = r;
-      }
-    }
-    if (e_arg == f_arg) {
-      ++agree;
-    }
-  }
-  report.top1_agreement =
-      batch == 0 ? 1.0 : static_cast<double>(agree) / static_cast<double>(batch);
-  return report;
+  return e;
 }
 
 }  // namespace trident::core

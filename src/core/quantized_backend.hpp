@@ -4,30 +4,26 @@
 // GST cells hold one of 255 levels, the modulator DAC is 8-bit — so a
 // noise-free forward pass never needs double-precision device math: the
 // whole computation collapses to integer level arithmetic plus one scale
-// multiply per output.  This module ships that observation as two tiers:
+// multiply per output.  QuantizedBackend ships that observation as a
+// drop-in nn::MatvecBackend with two entry points:
 //
-//   * QuantizedBackend — a drop-in nn::MatvecBackend: weight matrices are
-//     compiled once into pre-packed int8 level panels (cached by address,
-//     guarded by a content fingerprint) and executed through the blocked
-//     multi-ISA int8 GEMM kernels (src/nn/int8_gemm) with exact int32
-//     accumulation.  Ledger accounting mirrors PhotonicBackend call for
-//     call — level reads, program events, symbol counts — so energy books
-//     and the chaos conservation invariants keep holding.
+//   * run_plan — the served path: ExecutionPlan::run streams the plan's
+//     immutable pre-packed int8 panels through the blocked multi-ISA int8
+//     GEMM kernels (src/nn/int8_gemm) with exact int32 accumulation,
+//     dequantizing to double at every layer boundary.
+//   * matmul & co — the per-op path training and decorated backends (chaos
+//     injection) drive; weight panels are cached by address and guarded by
+//     a content fingerprint.
 //
-//   * QuantizedProgram — the fully fused plan: one compile walk of an Mlp
-//     precomputes per-layer weight panels AND per-layer int8→int8
-//     activation tables (LDSU threshold + GST slope + requantization folded
-//     into one 256-entry lookup, built from the device LUTs in
-//     src/photonics/device_lut), so inference never leaves integers
-//     between layers.  Per-layer activation ranges are calibrated from a
-//     reference forward pass, which yields a *provable* output error bound
-//     against the double-precision reference (`unit_error_bound`).
+// Ledger accounting mirrors PhotonicBackend call for call — level reads,
+// program events, symbol counts — so energy books and the chaos
+// conservation invariants keep holding.
 //
-// Error-bound contract: for inputs whose per-layer activations stay inside
-// the calibrated envelope (`saturated == false`), every fast-tier output
-// differs from the FloatBackend reference by at most the reported bound —
-// a closed-form function of the SymmetricQuantizer step sizes.  The zoo
-// equivalence tests assert exactly this, plus top-1 agreement.
+// Error-bound contract: for a model whose weights lie in [-1, 1], every
+// served logit differs from the FloatBackend reference by at most
+// plan_error_bound — a closed-form function of the quantizer step sizes,
+// layer fan-ins, weight norms, and activation Lipschitz constants.  The
+// zoo equivalence tests assert exactly this, plus top-1 stability.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +34,6 @@
 #include "core/photonic_backend.hpp"
 #include "nn/matrix.hpp"
 #include "nn/mlp.hpp"
-#include "photonics/device_lut.hpp"
 
 namespace trident::core {
 
@@ -103,6 +98,23 @@ class QuantizedBackend final : public nn::MatvecBackend {
   [[nodiscard]] double matmul_error_bound(std::size_t cols,
                                           double x_scale) const;
 
+  /// Closed-form bound on |served − reference| for every output logit of
+  /// one sample run through ExecutionPlan::run on this backend, against
+  /// the FloatBackend forward of the model the plan was compiled from.
+  /// `max_abs_x` is max|x| over the sample; weights must lie in [-1, 1].
+  /// Layer k has fan-in cols_k, max row ℓ1 norm ‖W_k‖∞ (PlanLayer::
+  /// norm_inf) and activation Lipschitz constant L_k; with m_0 = max|x|,
+  /// e_0 = 0:
+  ///
+  ///   s_k = max(1, m_{k-1} + e_{k-1})        DAC scale ceiling
+  ///   e_k = L_k·(matmul_error_bound(cols_k, s_k) + ‖W_k‖∞·e_{k-1})
+  ///   m_k = L_k·‖W_k‖∞·m_{k-1}               reference activation ceiling
+  ///
+  /// and the bound is e_depth: each layer adds its own quantization error
+  /// and passes the incoming error through the weights and activation.
+  [[nodiscard]] double plan_error_bound(const nn::ExecutionPlan& plan,
+                                        double max_abs_x) const;
+
   // --- snapshot/serving hooks (parity with PhotonicBackend) ---------------
   void restore_ledger(const PhotonicLedger& ledger) { ledger_ = ledger; }
   void mark_resident(const nn::Matrix& w) {
@@ -134,75 +146,5 @@ class QuantizedBackend final : public nn::MatvecBackend {
   std::unordered_map<const void*, WeightPlan> plans_;
   const void* resident_matrix_ = nullptr;
 };
-
-/// Fully fused compiled inference plan for one Mlp: per-layer int8 weight
-/// panels plus per-layer int8→int8 activation tables.  Compilation walks the
-/// model once with the double reference over `calibration` (per-sample
-/// normalised, like the DAC does) to size each layer's pre-activation and
-/// activation grids; `range_margin` widens them so same-distribution inputs
-/// do not saturate.
-class QuantizedProgram {
- public:
-  QuantizedProgram(const nn::Mlp& model, const nn::Matrix& calibration,
-                   const QuantizedBackendConfig& config = {},
-                   double range_margin = 1.5);
-
-  /// Fused forward: returns the output logits (batch × out).  Integers flow
-  /// between layers; the only per-element float work is the int32→int8
-  /// requantization at each layer boundary and the final logit scaling.
-  /// If `saturated` is non-null, it reports whether any intermediate left
-  /// its calibrated range (the error bound only binds when false).
-  [[nodiscard]] nn::Matrix forward(const nn::Matrix& x,
-                                   bool* saturated = nullptr) const;
-
-  /// Output-logit error bound versus the FloatBackend reference, for a
-  /// sample whose DAC scale was 1 (multiply by the per-sample scale
-  /// max(1, max|x|) for arbitrary inputs).  Derived purely from quantizer
-  /// step sizes, layer fan-ins, calibrated ranges, and activation Lipschitz
-  /// constants — computed once at compile time.
-  [[nodiscard]] double unit_error_bound() const { return unit_bound_; }
-
-  [[nodiscard]] int depth() const { return static_cast<int>(layers_.size()); }
-  [[nodiscard]] const QuantizedBackendConfig& config() const {
-    return config_;
-  }
-
- private:
-  struct FusedLayer {
-    std::size_t rows = 0;
-    std::size_t cols = 0;
-    std::vector<std::int8_t> weights;  ///< packed levels, row-major
-    double w_step = 0.0;               ///< weight-grid step
-    double in_step = 0.0;   ///< value of one input level (prev grid step)
-    double h_range = 0.0;   ///< calibrated pre-activation range
-    double h_step = 0.0;    ///< pre-activation grid step (8-bit LDSU)
-    int h_half_steps = 0;
-    double out_step = 0.0;  ///< value of one output level (next grid step)
-    phot::ActivationLut lut;  ///< h level → next-layer input level
-    bool has_lut = false;     ///< false on the (identity) output layer
-  };
-
-  QuantizedBackendConfig config_;
-  std::vector<FusedLayer> layers_;
-  double unit_bound_ = 0.0;
-};
-
-/// Fast-vs-exact audit of one model: runs the double reference and the fused
-/// int8 tier over `eval` (calibrating the program on `calibration`) and
-/// reports both outputs, the per-sample bound, and agreement statistics.
-/// The error-bound contract the tests pin down is:
-///   !saturated  ⇒  max_abs_error ≤ max over samples of bound.
-struct FastPathReport {
-  nn::Matrix exact;           ///< reference logits (batch × out)
-  nn::Matrix fast;            ///< fused-tier logits (batch × out)
-  std::vector<double> bound;  ///< per-sample error bound
-  double max_abs_error = 0.0;
-  double top1_agreement = 1.0;  ///< fraction of samples with matching argmax
-  bool saturated = false;
-};
-
-[[nodiscard]] FastPathReport check_fast_path(
-    const nn::Mlp& model, const nn::Matrix& calibration,
-    const nn::Matrix& eval, const QuantizedBackendConfig& config = {});
 
 }  // namespace trident::core

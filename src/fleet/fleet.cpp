@@ -110,10 +110,8 @@ Fleet::Fleet(const nn::Mlp& model, const FleetConfig& config)
   TRIDENT_REQUIRE(config.node.initial_plan == nullptr,
                   "FleetConfig::node.initial_plan must be null (the fleet "
                   "compiles one shared plan for all nodes)");
-  if (config_.node.use_plan) {
-    init_plan_ = nn::ExecutionPlan::compile(
-        model_, serving::Server::plan_config_for(config_.node));
-  }
+  init_plan_ = nn::ExecutionPlan::compile(
+      model_, serving::Server::plan_config_for(config_.node));
   {
     std::lock_guard lock(nodes_mutex_);
     for (int i = 0; i < config.initial_nodes; ++i) {
@@ -302,6 +300,10 @@ std::shared_ptr<Fleet::Node> Fleet::reroute_target_locked(int excluded) const {
 
 std::optional<std::future<serving::Response>> Fleet::submit(
     const std::string& tenant, nn::Vector input) {
+  // Malformed input is the client's error: reject it before the fleet or
+  // tenant books count the request, so conservation stays balanced.
+  serving::require_valid_input(
+      input, static_cast<std::size_t>(model_.layer_sizes().front()));
   auto acct = tenant_account(tenant);
   const TenantClassPolicy& policy =
       acct->spec.klass == TenantClass::kGold ? config_.gold : config_.bronze;

@@ -178,6 +178,8 @@ class Fleet {
   /// Submits one inference under `tenant` (auto-registered as bronze when
   /// unknown).  Returns the response future, or nullopt when the fleet
   /// shed the request (no live node, class watermark, or node admission).
+  /// Malformed input throws before any fleet or tenant counter moves
+  /// (serving::require_valid_input).
   [[nodiscard]] std::optional<std::future<serving::Response>> submit(
       const std::string& tenant, nn::Vector input);
 
@@ -258,8 +260,7 @@ class Fleet {
   FleetConfig config_;
   nn::Mlp model_;
   /// One plan compiled at construction and shared by every node's version-0
-  /// publication (via ServerConfig::initial_plan).  Null when the node
-  /// config disables plan serving.
+  /// publication (via ServerConfig::initial_plan).
   std::shared_ptr<const nn::ExecutionPlan> init_plan_;
   Router router_;
   Autoscaler autoscaler_;

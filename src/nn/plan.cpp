@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <optional>
 
 #include "common/quantize.hpp"
@@ -90,6 +91,13 @@ ExecutionPlan::ExecutionPlan(const Mlp& model, const PlanConfig& config)
     layer.clamped = layer.weights;
     for (double& v : layer.clamped.data()) {
       v = std::clamp(v, -1.0, 1.0);
+    }
+    for (std::size_t r = 0; r < layer.rows; ++r) {
+      double l1 = 0.0;
+      for (double v : layer.clamped.row(r)) {
+        l1 += std::abs(v);
+      }
+      layer.norm_inf = std::max(layer.norm_inf, l1);
     }
     // Quantized panel: same packing as QuantizedBackend::plan_for
     // (to_level saturates outside [-1, 1], which doubles as the clamp).

@@ -54,6 +54,7 @@ struct PlanLayer {
   Activation activation = Activation::kIdentity;  ///< fused epilogue
   std::size_t rows = 0;
   std::size_t cols = 0;
+  double norm_inf = 0.0;  ///< ‖clamped‖∞: max row ℓ1 norm (error bounds)
 };
 
 class ExecutionPlan;

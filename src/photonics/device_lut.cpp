@@ -72,23 +72,4 @@ int MrrWeightLut::nearest_level(double target) const {
   return best;
 }
 
-ActivationLut build_activation_lut(const std::function<double(double)>& f,
-                                   const SymmetricQuantizer& in,
-                                   const SymmetricQuantizer& out) {
-  TRIDENT_REQUIRE(in.bits() <= 8 && out.bits() <= 8,
-                  "activation LUT grids must fit int8");
-  ActivationLut lut;
-  const int half = (in.levels() - 1) / 2;
-  for (int raw = -128; raw <= 127; ++raw) {
-    // Byte patterns outside the input grid (|level| > half_steps, incl.
-    // -128 which no ≤8-bit symmetric grid produces) saturate to the edge.
-    const int level = std::clamp(raw, -half, half);
-    const std::int8_t result =
-        static_cast<std::int8_t>(out.to_level(f(in.from_level(level))));
-    lut.table[static_cast<std::uint8_t>(static_cast<std::int8_t>(raw))] =
-        result;
-  }
-  return lut;
-}
-
 }  // namespace trident::phot

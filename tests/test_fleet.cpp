@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <future>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -144,6 +145,37 @@ TEST(Fleet, ServesTenantsAndBooksBalance) {
     EXPECT_EQ(t.accepted, t.completed + t.failed);
   }
 
+  const chaos::InvariantReport sweep =
+      chaos::check_fleet_soak(stats, tenants, /*ledger_books=*/true);
+  EXPECT_TRUE(sweep.ok()) << sweep.to_string();
+}
+
+TEST(Fleet, RejectsMalformedInputBeforeAnyCounterMoves) {
+  // Wrong width, NaN, and Inf are the client's errors: the fleet door
+  // throws before the fleet or tenant books count the request, so the
+  // conservation sweep still balances afterwards.
+  reset_telemetry();
+  Fleet fleet(test_model(), small_fleet(2));
+  (void)fleet.register_tenant({.name = "acme", .klass = TenantClass::kGold});
+  nn::Vector nan_input = seeded_input(1);
+  nan_input[2] = std::numeric_limits<double>::quiet_NaN();
+  nn::Vector inf_input = seeded_input(2);
+  inf_input[7] = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)fleet.submit("acme", nn::Vector(5, 0.0)), Error);
+  EXPECT_THROW((void)fleet.submit("acme", nan_input), Error);
+  EXPECT_THROW((void)fleet.submit("acme", inf_input), Error);
+
+  auto fut = fleet.submit("acme", seeded_input(3));
+  ASSERT_TRUE(fut.has_value());
+  EXPECT_EQ(fut->get().status, ResponseStatus::kOk);
+  fleet.drain();
+
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.submitted, 1u);
+  EXPECT_EQ(stats.accepted, 1u);
+  const std::vector<TenantStats> tenants = fleet.tenant_stats();
+  ASSERT_EQ(tenants.size(), 1u);
+  EXPECT_EQ(tenants.front().submitted, 1u);
   const chaos::InvariantReport sweep =
       chaos::check_fleet_soak(stats, tenants, /*ledger_books=*/true);
   EXPECT_TRUE(sweep.ok()) << sweep.to_string();

@@ -302,6 +302,7 @@ TEST_P(FeedbackFuzz, CloseAndDiscardRaceKeepsBooksBalanced) {
 
   constexpr int kProducers = 3;
   constexpr int kPerProducer = 300;
+  std::atomic<int> producers_done{0};
   std::vector<std::thread> threads;
   for (int p = 0; p < kProducers; ++p) {
     threads.emplace_back([&, p] {
@@ -312,6 +313,7 @@ TEST_P(FeedbackFuzz, CloseAndDiscardRaceKeepsBooksBalanced) {
           std::this_thread::yield();
         }
       }
+      producers_done.fetch_add(1);
     });
   }
   std::thread popper([&] {
@@ -322,7 +324,10 @@ TEST_P(FeedbackFuzz, CloseAndDiscardRaceKeepsBooksBalanced) {
     }
   });
   std::thread closer([&] {
-    while (q.consumed() < 64) {
+    // Close mid-stream once the popper is under way — or once production
+    // ended: if the producers outran the popper, most pushes were dropped
+    // at admission and 64 consumptions may never happen.
+    while (q.consumed() < 64 && producers_done.load() < kProducers) {
       std::this_thread::yield();
     }
     (void)q.close_and_discard();

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -347,27 +348,26 @@ TEST(ServingPlan, RejectsMismatchedPreCompiledCanaryPlan) {
                Error);
 }
 
-TEST(ServingPlan, DisabledPlanServesNullAndStillAnswers) {
-  ServerConfig cfg;
-  cfg.use_plan = false;
-  const nn::Mlp model = serving_model(0x5eedu);
-  Server server(model, cfg);
-  EXPECT_EQ(server.published_plan(), nullptr);
-  auto fut = server.submit(nn::Vector(8, 0.25));
-  ASSERT_TRUE(fut.has_value());
-  const Response r = fut->get();
-  EXPECT_EQ(r.output.size(), 4u);
+/// Offline per-op reference: one Mlp::forward_batch on a fresh backend.
+nn::Vector per_op_output(const nn::Mlp& model, nn::MatvecBackend&& backend,
+                         const nn::Vector& x) {
+  nn::Matrix xm(1, x.size());
+  std::copy(x.begin(), x.end(), xm.data().begin());
+  const nn::BatchForwardTrace trace = model.forward_batch(xm, backend);
+  const auto row = trace.activations.back().row(0);
+  return nn::Vector(row.begin(), row.end());
 }
 
 TEST(ServingPlan, PlanAndPerOpServingAgreeBitForBit) {
+  // Serving runs every request through the published plan; each response
+  // must still equal the per-op forward on a fresh default backend of the
+  // tier that served it — PhotonicBackend for exact, QuantizedBackend for
+  // fast — bit for bit.
   const nn::Mlp model = serving_model(0x5eedu);
-  ServerConfig with_plan;
-  with_plan.replicas = 1;
-  with_plan.enable_fast_tier = true;
-  ServerConfig without_plan = with_plan;
-  without_plan.use_plan = false;
-  Server a(model, with_plan);
-  Server b(model, without_plan);
+  ServerConfig cfg;
+  cfg.replicas = 1;
+  cfg.enable_fast_tier = true;
+  Server server(model, cfg);
   Rng rng(0xD00Du);
   for (int i = 0; i < 8; ++i) {
     nn::Vector x(8);
@@ -376,10 +376,15 @@ TEST(ServingPlan, PlanAndPerOpServingAgreeBitForBit) {
     }
     const ServingTier tier =
         (i % 2 == 0) ? ServingTier::kExact : ServingTier::kFast;
-    auto fa = a.submit(x, tier);
-    auto fb = b.submit(x, tier);
-    ASSERT_TRUE(fa.has_value() && fb.has_value());
-    EXPECT_EQ(fa->get().output, fb->get().output) << "request " << i;
+    auto fut = server.submit(x, tier);
+    ASSERT_TRUE(fut.has_value());
+    const Response r = fut->get();
+    ASSERT_EQ(r.tier, tier);
+    const nn::Vector want =
+        tier == ServingTier::kExact
+            ? per_op_output(model, core::PhotonicBackend{}, x)
+            : per_op_output(model, core::QuantizedBackend{}, x);
+    EXPECT_EQ(r.output, want) << "request " << i;
   }
 }
 

@@ -1,7 +1,7 @@
 // Quantized int8 tier: error-bound contract against the double reference,
 // bit-identity of batched vs single-sample execution, PhotonicBackend
 // ledger parity, plan-cache invalidation, and the full-model-zoo
-// fast-vs-exact equivalence suite.
+// fast-vs-exact equivalence suite on the served path (ExecutionPlan::run).
 #include "core/quantized_backend.hpp"
 
 #include <algorithm>
@@ -17,6 +17,7 @@
 #include "common/rng.hpp"
 #include "core/photonic_backend.hpp"
 #include "nn/mlp.hpp"
+#include "nn/plan.hpp"
 #include "nn/zoo.hpp"
 
 namespace core = trident::core;
@@ -48,6 +49,61 @@ double row_scale(std::span<const double> row) {
     s = std::max(s, std::abs(v));
   }
   return s;
+}
+
+/// Served-path audit of one model: `eval` through ExecutionPlan::run on a
+/// QuantizedBackend (the fused int8 fast tier) and through the per-op
+/// FloatBackend forward (the reference), plus each sample's closed-form
+/// plan_error_bound and the top-1 agreement rate.
+struct ServedReport {
+  nn::Matrix exact;           ///< reference logits (batch × out)
+  nn::Matrix fast;            ///< served-tier logits (batch × out)
+  std::vector<double> bound;  ///< per-sample error bound
+  double max_abs_error = 0.0;
+  double top1_agreement = 1.0;  ///< fraction of samples with matching argmax
+};
+
+std::size_t argmax(std::span<const double> row) {
+  return static_cast<std::size_t>(
+      std::max_element(row.begin(), row.end()) - row.begin());
+}
+
+ServedReport audit_served_path(const nn::Mlp& model, const nn::Matrix& eval) {
+  // The bound assumes weights in [-1, 1] (the clamped panel is the model).
+  for (int k = 0; k < model.depth(); ++k) {
+    for (double v : model.weight(k).data()) {
+      EXPECT_LE(std::abs(v), 1.0) << "layer " << k << " weight out of range";
+    }
+  }
+  const nn::ExecutionPlan plan(model);
+  core::QuantizedBackend fast;
+  nn::PlanArena arena;
+  nn::FloatBackend reference;
+
+  ServedReport report;
+  report.exact = model.forward_batch(eval, reference).activations.back();
+  report.fast = plan.run(fast, eval, arena);
+  std::size_t agree = 0;
+  for (std::size_t b = 0; b < eval.rows(); ++b) {
+    const auto xr = eval.row(b);
+    double max_abs_x = 0.0;
+    for (double v : xr) {
+      max_abs_x = std::max(max_abs_x, std::abs(v));
+    }
+    report.bound.push_back(fast.plan_error_bound(plan, max_abs_x));
+    const auto er = report.exact.row(b);
+    const auto fr = report.fast.row(b);
+    for (std::size_t r = 0; r < er.size(); ++r) {
+      report.max_abs_error =
+          std::max(report.max_abs_error, std::abs(fr[r] - er[r]));
+    }
+    if (argmax(er) == argmax(fr)) {
+      ++agree;
+    }
+  }
+  report.top1_agreement =
+      static_cast<double>(agree) / static_cast<double>(eval.rows());
+  return report;
 }
 
 }  // namespace
@@ -183,15 +239,12 @@ TEST(QuantizedBackend, PlanCacheRecompilesWhenWeightsChangeInPlace) {
   }
 }
 
-TEST(QuantizedProgram, FusedForwardHonoursTheErrorBound) {
+TEST(ServedFastTier, FusedForwardHonoursTheErrorBound) {
   Rng rng(0x90au);
   nn::Mlp model({20, 32, 16, 10}, nn::Activation::kReLU, rng);
-  const nn::Matrix calibration = random_matrix(24, 20, -1.5, 1.5, rng);
   const nn::Matrix eval = random_matrix(24, 20, -1.5, 1.5, rng);
 
-  const core::FastPathReport report =
-      core::check_fast_path(model, calibration, eval);
-  EXPECT_FALSE(report.saturated);
+  const ServedReport report = audit_served_path(model, eval);
   for (std::size_t b = 0; b < eval.rows(); ++b) {
     const auto er = report.exact.row(b);
     const auto fr = report.fast.row(b);
@@ -202,20 +255,17 @@ TEST(QuantizedProgram, FusedForwardHonoursTheErrorBound) {
   }
 }
 
-TEST(QuantizedProgram, GstActivationModelAlsoHonoursTheBound) {
+TEST(ServedFastTier, GstActivationModelAlsoHonoursTheBound) {
   Rng rng(0x90bu);
   nn::Mlp model({16, 24, 8}, nn::Activation::kGstPhotonic, rng);
-  const nn::Matrix calibration = random_matrix(16, 16, -1.0, 1.0, rng);
   const nn::Matrix eval = random_matrix(16, 16, -1.0, 1.0, rng);
-  const core::FastPathReport report =
-      core::check_fast_path(model, calibration, eval);
-  EXPECT_FALSE(report.saturated);
+  const ServedReport report = audit_served_path(model, eval);
   EXPECT_LE(report.max_abs_error,
             *std::max_element(report.bound.begin(), report.bound.end()));
 }
 
-TEST(QuantizedProgram, FullModelZooMeetsTheFastVsExactContract) {
-  // Every zoo model, as a deterministic dense surrogate: the fused int8
+TEST(ServedFastTier, FullModelZooMeetsTheFastVsExactContract) {
+  // Every zoo model, as a deterministic dense surrogate: the served int8
   // tier must stay within its computed bound on every logit of every
   // sample, and top-1 decisions must overwhelmingly agree.
   std::vector<nn::ModelSpec> specs = nn::zoo::evaluation_models();
@@ -226,12 +276,9 @@ TEST(QuantizedProgram, FullModelZooMeetsTheFastVsExactContract) {
     const nn::Mlp model = nn::zoo::surrogate_mlp(spec);
     const std::size_t in =
         static_cast<std::size_t>(model.layer_sizes().front());
-    const nn::Matrix calibration = random_matrix(32, in, -1.0, 1.0, rng);
     const nn::Matrix eval = random_matrix(32, in, -1.0, 1.0, rng);
 
-    const core::FastPathReport report =
-        core::check_fast_path(model, calibration, eval);
-    EXPECT_FALSE(report.saturated);
+    const ServedReport report = audit_served_path(model, eval);
     for (std::size_t b = 0; b < eval.rows(); ++b) {
       const auto er = report.exact.row(b);
       const auto fr = report.fast.row(b);
@@ -254,13 +301,7 @@ TEST(QuantizedProgram, FullModelZooMeetsTheFastVsExactContract) {
         }
       }
       if (er.size() > 1 && er[best] - er[second] > 2.0 * report.bound[b]) {
-        std::size_t fast_best = 0;
-        for (std::size_t r = 1; r < fr.size(); ++r) {
-          if (fr[r] > fr[fast_best]) {
-            fast_best = r;
-          }
-        }
-        EXPECT_EQ(fast_best, best)
+        EXPECT_EQ(argmax(fr), best)
             << "argmax flipped outside the near-tie margin, sample " << b;
       }
     }

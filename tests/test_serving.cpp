@@ -8,10 +8,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <thread>
 #include <vector>
 
+#include "chaos/invariants.hpp"
 #include "common/error.hpp"
 #include "core/photonic_backend.hpp"
 #include "core/quantized_backend.hpp"
@@ -464,6 +466,31 @@ TEST(Server, SubmitAfterDrainIsShed) {
 TEST(Server, RejectsWrongInputWidth) {
   Server server(test_model(), ServerConfig{});
   EXPECT_THROW((void)server.submit(nn::Vector(5, 0.0)), Error);
+}
+
+TEST(Server, RejectsNonFiniteInputBeforeAnyCounterMoves) {
+  // NaN/Inf input is the client's error: refused at the door, never served
+  // kOk, never retried, and invisible to the conservation books.
+  ServerConfig cfg;
+  cfg.enable_fast_tier = true;
+  Server server(test_model(), cfg);
+  nn::Vector nan_input(8, 0.5);
+  nan_input[3] = std::numeric_limits<double>::quiet_NaN();
+  nn::Vector inf_input(8, 0.5);
+  inf_input[0] = -std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)server.submit(nan_input), Error);
+  EXPECT_THROW((void)server.submit(inf_input, ServingTier::kFast), Error);
+
+  auto fut = server.submit(nn::Vector(8, 0.5));
+  ASSERT_TRUE(fut.has_value());
+  EXPECT_EQ(fut->get().status, ResponseStatus::kOk);
+  server.drain();
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.submitted, 1u);
+  EXPECT_EQ(stats.accepted, 1u);
+  EXPECT_EQ(stats.retries, 0u);
+  const chaos::InvariantReport books = chaos::check_server_conservation(stats);
+  EXPECT_TRUE(books.ok()) << books.to_string();
 }
 
 TEST(Server, InvalidConfigRejected) {
