@@ -211,9 +211,8 @@ int main(int argc, char** argv) {
   }
 
   // The pass/fail line: fleet-wide conservation, the per-tenant partition
-  // of the books, the telemetry mirror, and — since this process runs no
-  // backend outside the fleet — the folded energy ledger against its
-  // registry twin.
+  // of the books, and — since this process runs no backend outside the
+  // fleet — the folded energy ledger against its registry twin.
   const chaos::InvariantReport sweep = chaos::check_fleet_soak(
       stats, fleet.tenant_stats(), /*ledger_books=*/true);
   if (!sweep.ok()) {

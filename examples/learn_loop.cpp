@@ -19,9 +19,9 @@
 //   latency  canary-arm latencies are inflated 3x against a 1.5x p99
 //            gate (exit enforces >= 1 rollback, 0 promotes)
 //
-// Every run additionally enforces the learning conservation laws, the
-// trident_learning_* telemetry mirror, and the bit-exactness audit (every
-// response bit-identical to its stamped arm's reference forward).
+// Every run additionally enforces the learning conservation laws and the
+// bit-exactness audit (every response bit-identical to its stamped arm's
+// reference forward).
 //
 // Run:  ./build/examples/learn_loop --scenario drift --decision-log dl.txt
 //       TRIDENT_LEARNING_SEED=0xBEEF ./build/examples/learn_loop
@@ -137,7 +137,6 @@ int main(int argc, char** argv) {
   }
   chaos::InvariantReport inv =
       chaos::check_learning_conservation(report.learning);
-  inv.merge(chaos::check_learning_telemetry_mirror(report.learning));
   if (!inv.ok()) {
     fail("learning invariants:\n" + inv.to_string());
   }

@@ -13,7 +13,7 @@
 // replica backend (see docs/chaos.md): transient errors exercise the
 // retry budget, `--chaos-kill-op K` scripts replica 0's death at its K-th
 // backend op so the supervisor restart path runs, and the exit status
-// enforces the chaos invariants (conservation laws + telemetry mirror)
+// enforces the chaos invariants (conservation laws + injection log)
 // instead of the fault-free "nothing failed" check.  The same seed
 // reproduces the same injection schedule.
 //
@@ -248,7 +248,7 @@ int main(int argc, char** argv) {
   }
   if (chaos_on) {
     // Under chaos, explicit degraded responses are legal; the conservation
-    // laws and the telemetry mirror are the pass/fail line.
+    // laws and the injection log are the pass/fail line.
     const chaos::InjectionCounts injected = injection_log->snapshot();
     // This process runs no PhotonicBackend outside the server, so the
     // energy books can be audited against the telemetry mirror too.

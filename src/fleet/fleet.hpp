@@ -221,15 +221,9 @@ class Fleet {
     std::atomic<std::uint64_t> failed{0};
     std::atomic<std::uint64_t> slo_violations{0};
     serving::LatencyRecorder sojourn;
-    /// Registry mirror: the name-mangled
-    /// `trident_tenant_<name>_requests_*_total` family, registered when
-    /// the tenant is (registry references are process-stable).
-    telemetry::Counter* m_submitted = nullptr;
-    telemetry::Counter* m_accepted = nullptr;
-    telemetry::Counter* m_shed = nullptr;
-    telemetry::Counter* m_completed = nullptr;
-    telemetry::Counter* m_failed = nullptr;
-    telemetry::Counter* m_slo_violations = nullptr;
+    /// `trident_tenant_<sanitized name>_`: the registry family the fleet
+    /// collector reports these counters under.
+    std::string metric_prefix;
   };
 
   enum class NodeState { kLive, kDead, kRetired };
@@ -256,6 +250,11 @@ class Fleet {
   [[nodiscard]] int live_nodes_locked() const;
   void autoscale_locked(double now_s);
   void supervise_loop();
+  /// Registry collector: the trident_fleet_* counters and every tenant's
+  /// trident_tenant_<name>_* family.  Takes tenants_mutex_ only — never
+  /// nodes_mutex_, under which nodes construct and destroy Servers (and so
+  /// register and drop their collectors).
+  void collect_counters(std::vector<telemetry::CounterSample>& out) const;
 
   FleetConfig config_;
   nn::Mlp model_;
@@ -313,6 +312,14 @@ class Fleet {
 
   mutable std::mutex drain_mutex_;
   bool drained_ = false;
+
+  /// Last member: destroyed first, so the registry folds the final counts
+  /// before any counter it reads goes away.
+  telemetry::CollectorHandle collector_ =
+      telemetry::MetricsRegistry::global().add_collector(
+          [this](std::vector<telemetry::CounterSample>& out) {
+            collect_counters(out);
+          });
 };
 
 }  // namespace trident::fleet

@@ -14,58 +14,11 @@ namespace trident::learning {
 
 namespace {
 
-/// trident_learning_* telemetry: one-for-one mirrors of the pipeline's
-/// books, so chaos::check_learning_telemetry_mirror can audit them like
-/// the serving counters.
-struct LearningMetrics {
-  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Counter& offered =
-      reg.counter("trident_learning_feedback_offered_total",
-                  "labelled feedback samples offered to the stream");
-  telemetry::Counter& dropped =
-      reg.counter("trident_learning_feedback_dropped_total",
-                  "feedback samples dropped at the stream (full or closed)");
-  telemetry::Counter& trained =
-      reg.counter("trident_learning_samples_trained_total",
-                  "feedback samples consumed by completed training pulses");
-  telemetry::Counter& lost =
-      reg.counter("trident_learning_samples_lost_total",
-                  "feedback samples consumed by pulses that died mid-train");
-  telemetry::Counter& pulses =
-      reg.counter("trident_learning_train_pulses_total",
-                  "completed shadow retraining pulses");
-  telemetry::Counter& trainer_deaths =
-      reg.counter("trident_learning_trainer_deaths_total",
-                  "shadow trainer incarnations killed by HardwareFailure");
-  telemetry::Counter& trainer_restarts =
-      reg.counter("trident_learning_trainer_restarts_total",
-                  "shadow trainer re-incarnations");
-  telemetry::Counter& checkpoints =
-      reg.counter("trident_learning_checkpoints_total",
-                  "atomic shadow snapshots written");
-  telemetry::Counter& checkpoint_failures =
-      reg.counter("trident_learning_checkpoint_failures_total",
-                  "checkpoint attempts that failed (no torn file remains)");
-  telemetry::Counter& checkpoint_restores =
-      reg.counter("trident_learning_checkpoint_restores_total",
-                  "trainer restarts healed from the on-disk checkpoint");
-  telemetry::Counter& publications =
-      reg.counter("trident_learning_canary_publications_total",
-                  "shadow weight sets published to the canary stage");
-  telemetry::Counter& promotes =
-      reg.counter("trident_learning_promotes_total",
-                  "canary candidates promoted to incumbent");
-  telemetry::Counter& rollbacks =
-      reg.counter("trident_learning_rollbacks_total",
-                  "canary candidates rolled back (incumbent untouched)");
-  telemetry::Gauge& shadow_generation =
-      reg.gauge("trident_learning_shadow_generation",
-                "training pulses since the shadow's last known-good anchor");
-};
-
-[[nodiscard]] LearningMetrics& learning_metrics() {
-  static LearningMetrics m;
-  return m;
+telemetry::Gauge& shadow_generation_gauge() {
+  static telemetry::Gauge& g = telemetry::MetricsRegistry::global().gauge(
+      "trident_learning_shadow_generation",
+      "training pulses since the shadow's last known-good anchor");
+  return g;
 }
 
 }  // namespace
@@ -106,15 +59,7 @@ void LearningPipeline::build_trainer(int incarnation) {
 }
 
 bool LearningPipeline::feed(FeedbackSample sample) {
-  const bool accepted = queue_.push(std::move(sample));
-  if (telemetry::enabled()) {
-    LearningMetrics& m = learning_metrics();
-    m.offered.add(1);
-    if (!accepted) {
-      m.dropped.add(1);
-    }
-  }
-  return accepted;
+  return queue_.push(std::move(sample));
 }
 
 void LearningPipeline::observe_response(bool canary_arm, bool correct,
@@ -167,19 +112,13 @@ std::size_t LearningPipeline::train_pulse() {
   } catch (const std::exception&) {
     // Transient trainer fault: the pulse is lost, the trainer survives.
     samples_lost_ += batch.size();
-    if (telemetry::enabled()) {
-      learning_metrics().lost.add(batch.size());
-    }
     return 0;
   }
   samples_trained_ += batch.size();
   ++train_pulses_;
   ++shadow_generation_;
   if (telemetry::enabled()) {
-    LearningMetrics& m = learning_metrics();
-    m.trained.add(batch.size());
-    m.pulses.add(1);
-    m.shadow_generation.set(static_cast<double>(shadow_generation_));
+    shadow_generation_gauge().set(static_cast<double>(shadow_generation_));
   }
   return batch.size();
 }
@@ -195,13 +134,6 @@ void LearningPipeline::handle_trainer_death(std::size_t samples_in_flight) {
   }
   trainer_.backend.reset();
   trainer_.ledger = nullptr;
-  if (telemetry::enabled()) {
-    LearningMetrics& m = learning_metrics();
-    m.trainer_deaths.add(1);
-    if (samples_in_flight > 0) {
-      m.lost.add(samples_in_flight);
-    }
-  }
   if (trainer_restarts_ >=
       static_cast<std::uint64_t>(config_.max_trainer_restarts)) {
     trainer_dead_ = true;
@@ -220,15 +152,9 @@ void LearningPipeline::handle_trainer_death(std::size_t samples_in_flight) {
       state::restore_model_into(snap.model, shadow_);
       ++checkpoint_restores_;
       shadow_generation_ = 0;
-      if (telemetry::enabled()) {
-        learning_metrics().checkpoint_restores.add(1);
-      }
     } catch (const std::exception&) {
       // No checkpoint yet (or unreadable): continue on live weights.
     }
-  }
-  if (telemetry::enabled()) {
-    learning_metrics().trainer_restarts.add(1);
   }
 }
 
@@ -247,25 +173,16 @@ bool LearningPipeline::checkpoint() {
     snap.ledger = state::to_ledger_state(ledger_locked());
     snap.save(config_.checkpoint_path);
     ++checkpoints_;
-    if (telemetry::enabled()) {
-      learning_metrics().checkpoints.add(1);
-    }
     return true;
   } catch (const HardwareFailure&) {
     // The trainer died mid-checkpoint.  The atomic write discipline means
     // the previous snapshot is still intact on disk — which is exactly
     // what the healed trainer restores from below.
     ++checkpoint_failures_;
-    if (telemetry::enabled()) {
-      learning_metrics().checkpoint_failures.add(1);
-    }
     handle_trainer_death(0);
     return false;
   } catch (const std::exception&) {
     ++checkpoint_failures_;
-    if (telemetry::enabled()) {
-      learning_metrics().checkpoint_failures.add(1);
-    }
     return false;
   }
 }
@@ -291,9 +208,6 @@ std::uint64_t LearningPipeline::publish_canary() {
     std::lock_guard obs(obs_mutex_);
     controller_.reset();
     observing_ = true;
-  }
-  if (telemetry::enabled()) {
-    learning_metrics().publications.add(1);
   }
   return seq;
 }
@@ -323,17 +237,11 @@ CanaryEvaluation LearningPipeline::maybe_decide(std::uint64_t round,
     // The candidate — the exact weights that were serving the canary arm,
     // not the since-evolved shadow — becomes the new known-good anchor.
     anchor_ = *candidate_;
-    if (telemetry::enabled()) {
-      learning_metrics().promotes.add(1);
-    }
   } else {
     ++rollbacks_;
     // Roll the SHADOW back too: one poisoned retraining must not seed the
     // next candidate.  The serving incumbent was never displaced.
     shadow_ = anchor_;
-    if (telemetry::enabled()) {
-      learning_metrics().rollbacks.add(1);
-    }
   }
   shadow_generation_ = 0;
   candidate_.reset();
@@ -344,7 +252,7 @@ CanaryEvaluation LearningPipeline::maybe_decide(std::uint64_t round,
     controller_.reset();
   }
   if (telemetry::enabled()) {
-    learning_metrics().shadow_generation.set(0.0);
+    shadow_generation_gauge().set(0.0);
   }
   return eval;
 }
@@ -392,7 +300,7 @@ core::PhotonicLedger LearningPipeline::ledger_locked() const {
   return total;
 }
 
-LearningStats LearningPipeline::stats() const {
+LearningStats LearningPipeline::counters_locked() const {
   LearningStats s;
   s.offered = queue_.offered();
   s.enqueued = queue_.enqueued();
@@ -400,7 +308,6 @@ LearningStats LearningPipeline::stats() const {
   s.consumed = queue_.consumed();
   s.discarded = queue_.discarded();
   s.queue_depth = queue_.depth();
-  std::lock_guard lock(trainer_mutex_);
   s.samples_trained = samples_trained_;
   s.samples_lost = samples_lost_;
   s.train_pulses = train_pulses_;
@@ -414,8 +321,60 @@ LearningStats LearningPipeline::stats() const {
   s.rollbacks = rollbacks_;
   s.canary_active = active_seq_ != 0;
   s.shadow_generation = shadow_generation_;
+  return s;
+}
+
+LearningStats LearningPipeline::stats() const {
+  std::lock_guard lock(trainer_mutex_);
+  LearningStats s = counters_locked();
   s.ledger = ledger_locked();
   return s;
+}
+
+void LearningPipeline::collect_counters(
+    std::vector<telemetry::CounterSample>& out) const {
+  LearningStats c;
+  {
+    std::lock_guard lock(trainer_mutex_);
+    c = counters_locked();
+  }
+  out.insert(
+      out.end(),
+      {
+          {"trident_learning_feedback_offered_total",
+           "labelled feedback samples offered to the stream", c.offered},
+          {"trident_learning_feedback_dropped_total",
+           "feedback samples dropped at the stream (full or closed)",
+           c.dropped},
+          {"trident_learning_samples_trained_total",
+           "feedback samples consumed by completed training pulses",
+           c.samples_trained},
+          {"trident_learning_samples_lost_total",
+           "feedback samples consumed by pulses that died mid-train",
+           c.samples_lost},
+          {"trident_learning_train_pulses_total",
+           "completed shadow retraining pulses", c.train_pulses},
+          {"trident_learning_trainer_deaths_total",
+           "shadow trainer incarnations killed by HardwareFailure",
+           c.trainer_deaths},
+          {"trident_learning_trainer_restarts_total",
+           "shadow trainer re-incarnations", c.trainer_restarts},
+          {"trident_learning_checkpoints_total",
+           "atomic shadow snapshots written", c.checkpoints},
+          {"trident_learning_checkpoint_failures_total",
+           "checkpoint attempts that failed (no torn file remains)",
+           c.checkpoint_failures},
+          {"trident_learning_checkpoint_restores_total",
+           "trainer restarts healed from the on-disk checkpoint",
+           c.checkpoint_restores},
+          {"trident_learning_canary_publications_total",
+           "shadow weight sets published to the canary stage",
+           c.canary_publications},
+          {"trident_learning_promotes_total",
+           "canary candidates promoted to incumbent", c.promotes},
+          {"trident_learning_rollbacks_total",
+           "canary candidates rolled back (incumbent untouched)", c.rollbacks},
+      });
 }
 
 }  // namespace trident::learning

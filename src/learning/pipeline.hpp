@@ -16,9 +16,9 @@
 // Every retraining pulse and re-programming write is billed: the trainer
 // backend's PhotonicLedger folds across trainer deaths exactly the way
 // serving replica ledgers do (retired + live, never dropped, never
-// double-counted), and the pipeline's own counters are mirrored into
-// trident_learning_* telemetry one-for-one — chaos::check_learning_soak
-// audits both sets of books after a soak.
+// double-counted), and the registry reads the pipeline's own counters as
+// trident_learning_* at snapshot time — chaos::check_learning_soak audits
+// the books after a soak.
 //
 // Threading contract: feed() and observe_response() are thread-safe (they
 // are designed to be called from serving completion hooks).  train_pulse,
@@ -40,6 +40,7 @@
 #include "learning/feedback.hpp"
 #include "nn/mlp.hpp"
 #include "serving/server.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace trident::learning {
 
@@ -183,6 +184,11 @@ class LearningPipeline {
   /// and heal from the checkpoint if budget remains.
   void handle_trainer_death(std::size_t samples_in_flight);
   [[nodiscard]] core::PhotonicLedger ledger_locked() const;
+  /// stats() without the ledger; caller holds trainer_mutex_.
+  [[nodiscard]] LearningStats counters_locked() const;
+  /// Registry collector: the trident_learning_* counters.  Takes
+  /// trainer_mutex_, under which no collector is registered or dropped.
+  void collect_counters(std::vector<telemetry::CounterSample>& out) const;
 
   serving::Server& server_;
   LearningConfig config_;
@@ -215,6 +221,14 @@ class LearningPipeline {
   mutable std::mutex obs_mutex_;
   CanaryController controller_;
   bool observing_ = false;  ///< windows accumulate only while a canary runs
+
+  /// Last member: destroyed first, so the registry folds the final counts
+  /// before any counter it reads goes away.
+  telemetry::CollectorHandle collector_ =
+      telemetry::MetricsRegistry::global().add_collector(
+          [this](std::vector<telemetry::CounterSample>& out) {
+            collect_counters(out);
+          });
 };
 
 }  // namespace trident::learning

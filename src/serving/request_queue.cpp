@@ -10,21 +10,10 @@ namespace trident::serving {
 
 namespace {
 
-struct QueueMetrics {
-  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Counter& accepted =
-      reg.counter("trident_serving_requests_accepted_total",
-                  "requests admitted into the serving queue");
-  telemetry::Counter& shed =
-      reg.counter("trident_serving_requests_shed_total",
-                  "requests rejected by admission control");
-  telemetry::Gauge& depth = reg.gauge("trident_serving_queue_depth",
-                                      "requests waiting in the serving queue");
-};
-
-QueueMetrics& queue_metrics() {
-  static QueueMetrics m;
-  return m;
+telemetry::Gauge& depth_gauge() {
+  static telemetry::Gauge& g = telemetry::MetricsRegistry::global().gauge(
+      "trident_serving_queue_depth", "requests waiting in the serving queue");
+  return g;
 }
 
 }  // namespace
@@ -54,9 +43,6 @@ AdmitResult RequestQueue::push(Request& r) {
         policy_ == OverloadPolicy::kReject ? watermark_ : capacity_;
     if (queue_.size() >= limit) {
       ++shed_;
-      if (telemetry::enabled()) {
-        queue_metrics().shed.add(1);
-      }
       return AdmitResult::kShed;
     }
     r.admitted = Clock::now();
@@ -65,9 +51,7 @@ AdmitResult RequestQueue::push(Request& r) {
     // Published under the lock so a concurrent push/pop cannot overwrite
     // the gauge with a staler depth.
     if (telemetry::enabled()) {
-      QueueMetrics& m = queue_metrics();
-      m.accepted.add(1);
-      m.depth.set(static_cast<double>(queue_.size()));
+      depth_gauge().set(static_cast<double>(queue_.size()));
     }
   }
   not_empty_cv_.notify_one();
@@ -82,7 +66,7 @@ void RequestQueue::requeue(Request&& r) {
     // Published under the lock so a concurrent push/pop cannot overwrite
     // the gauge with a staler depth.
     if (telemetry::enabled()) {
-      queue_metrics().depth.set(static_cast<double>(queue_.size()));
+      depth_gauge().set(static_cast<double>(queue_.size()));
     }
   }
   not_empty_cv_.notify_one();
@@ -129,7 +113,7 @@ std::vector<Request> RequestQueue::pop_batch(std::size_t max_batch,
     // Published under the lock so a concurrent push/pop cannot overwrite
     // the gauge with a staler depth.
     if (telemetry::enabled()) {
-      queue_metrics().depth.set(static_cast<double>(depth));
+      depth_gauge().set(static_cast<double>(depth));
     }
   }
   space_cv_.notify_all();

@@ -24,29 +24,6 @@ namespace {
 
 struct ServerMetrics {
   telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Counter& completed =
-      reg.counter("trident_serving_requests_completed_total",
-                  "requests served to completion");
-  telemetry::Counter& failed =
-      reg.counter("trident_serving_requests_failed_total",
-                  "requests answered with an explicit kFailed response");
-  telemetry::Counter& retries =
-      reg.counter("trident_serving_retries_total",
-                  "requests requeued after a transient fault or replica death");
-  telemetry::Counter& batches = reg.counter(
-      "trident_serving_batches_total", "micro-batches cut and served");
-  telemetry::Counter& slo_violations =
-      reg.counter("trident_serving_slo_violations_total",
-                  "responses slower than the configured sojourn SLO");
-  telemetry::Counter& replica_deaths =
-      reg.counter("trident_serving_replica_deaths_total",
-                  "workers lost to a HardwareFailure");
-  telemetry::Counter& replica_restarts =
-      reg.counter("trident_serving_replica_restarts_total",
-                  "supervisor restarts (new replica incarnations)");
-  telemetry::Counter& stalls =
-      reg.counter("trident_serving_replica_stalls_total",
-                  "replicas flagged past the stall threshold");
   telemetry::Gauge& healthy =
       reg.gauge("trident_serving_replicas_healthy",
                 "replicas currently idle or serving");
@@ -72,12 +49,6 @@ struct ServerMetrics {
                                     "exact median sojourn so far");
   telemetry::Gauge& p99 = reg.gauge("trident_serving_sojourn_p99_seconds",
                                     "exact p99 sojourn so far");
-  telemetry::Counter& weight_swaps =
-      reg.counter("trident_serving_weight_swaps_total",
-                  "hot_swap weight publications");
-  telemetry::Counter& swap_adoptions =
-      reg.counter("trident_serving_weight_swap_adoptions_total",
-                  "replica adoptions of published weights at batch bounds");
   telemetry::Histogram& swap_latency = reg.histogram(
       "trident_serving_weight_swap_latency_seconds",
       telemetry::duration_buckets_seconds(),
@@ -85,41 +56,6 @@ struct ServerMetrics {
   telemetry::Gauge& weights_version =
       reg.gauge("trident_serving_weights_version",
                 "version of the most recently published weights");
-  telemetry::Counter& snapshot_restores =
-      reg.counter("trident_serving_snapshot_restores_total",
-                  "replica restarts healed from the configured snapshot");
-  telemetry::Counter& snapshot_restore_failures =
-      reg.counter("trident_serving_snapshot_restore_failures_total",
-                  "snapshot restores that fell back to published weights");
-  // Tier dispatch: the two counters partition completed responses exactly
-  // (quantized + exact == completed), which the metrics validator checks.
-  telemetry::Counter& quantized_dispatch =
-      reg.counter("trident_quantized_dispatch_total",
-                  "responses served by the int8 quantized tier");
-  telemetry::Counter& exact_dispatch =
-      reg.counter("trident_exact_dispatch_total",
-                  "responses served by the exact device-model tier");
-  telemetry::Counter& fast_fallbacks =
-      reg.counter("trident_serving_fast_fallbacks_total",
-                  "kFast requests served exact (replica has no quantized "
-                  "tier)");
-  // Canary arm dispatch: the two counters partition completed responses
-  // exactly (canary + incumbent == completed), mirroring the tier law.
-  telemetry::Counter& canary_dispatch =
-      reg.counter("trident_canary_dispatch_total",
-                  "responses served by the candidate (canary) weights");
-  telemetry::Counter& incumbent_dispatch =
-      reg.counter("trident_incumbent_dispatch_total",
-                  "responses served by the incumbent weights");
-  telemetry::Counter& canary_starts =
-      reg.counter("trident_serving_canary_starts_total",
-                  "candidate weight sets published to the canary stage");
-  telemetry::Counter& canary_promotes =
-      reg.counter("trident_serving_canary_promotes_total",
-                  "canaries promoted to incumbent via hot_swap");
-  telemetry::Counter& canary_rollbacks =
-      reg.counter("trident_serving_canary_rollbacks_total",
-                  "canaries rolled back (candidate discarded)");
   telemetry::Gauge& canary_version =
       reg.gauge("trident_serving_canary_version",
                 "live canary publication sequence (0 = none active)");
@@ -311,9 +247,6 @@ std::optional<std::future<Response>> Server::submit(
       // or service happened.  Count it here, once.
       request.deadline_violation_counted = true;
       slo_violations_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry::enabled()) {
-        server_metrics().slo_violations.add(1);
-      }
     }
   }
   std::future<Response> future = request.promise.get_future();
@@ -375,9 +308,6 @@ void Server::worker_loop(Replica& replica) {
       // Hardware gone: hand the replica to the supervisor and exit.
       replica.state.store(ReplicaState::kDead, std::memory_order_release);
       deaths_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry::enabled()) {
-        server_metrics().replica_deaths.add(1);
-      }
       death_pending_.store(true, std::memory_order_release);
       supervisor_cv_.notify_all();
       return;
@@ -394,7 +324,6 @@ bool Server::serve_batch(Replica& replica, std::vector<Request>& batch) {
   const bool telem = telemetry::enabled();
   if (telem) {
     ServerMetrics& m = server_metrics();
-    m.batches.add(1);
     m.batch_size.observe(static_cast<double>(n));
     Clock::time_point oldest = batch.front().admitted;
     for (const Request& r : batch) {
@@ -431,9 +360,6 @@ bool Server::serve_batch(Replica& replica, std::vector<Request>& batch) {
                       replica.backend.fast != nullptr;
     if (r.tier == ServingTier::kFast && !fast) {
       fast_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      if (telem) {
-        server_metrics().fast_fallbacks.add(1);
-      }
     }
     const bool canary = canary_live && route_to_canary(r.trace.trace_id,
                                                        percent);
@@ -578,20 +504,6 @@ bool Server::serve_group(Replica& replica, std::vector<Request>& group,
         ServerMetrics& m = server_metrics();
         m.service.observe(service_s);
         m.sojourn.observe(response.timing.sojourn_s);
-        m.completed.add(1);
-        if (served == ServingTier::kFast) {
-          m.quantized_dispatch.add(1);
-        } else {
-          m.exact_dispatch.add(1);
-        }
-        if (canary_arm) {
-          m.canary_dispatch.add(1);
-        } else {
-          m.incumbent_dispatch.add(1);
-        }
-        if (violated) {
-          m.slo_violations.add(1);
-        }
         // Retro-dated per-request phases with the request's OWN trace id
         // (the batch span carries the head's): queue wait measured from
         // admission to the batch cut, then the service attempt.  Together
@@ -683,7 +595,6 @@ void Server::retry_or_fail(Request&& r, const std::string& why, int replica,
   }
   retries_.fetch_add(1, std::memory_order_relaxed);
   if (telemetry::enabled()) {
-    server_metrics().retries.add(1);
     // The retry edge: an instant-like event on the request's trace naming
     // the attempt that failed and where it failed.
     telemetry::TraceBuffer& tb = telemetry::TraceBuffer::global();
@@ -717,9 +628,6 @@ void Server::fail_request(Request&& r, const std::string& why) {
     response.deadline_missed = now > *r.deadline;
   }
   failed_.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry::enabled()) {
-    server_metrics().failed.add(1);
-  }
   if (flight_) {
     FlightRecord rec;
     rec.trace_id = r.trace.trace_id;
@@ -790,9 +698,6 @@ void Server::supervisor_loop() {
               !replica->stall_flagged.exchange(true,
                                                std::memory_order_relaxed)) {
             stalls_.fetch_add(1, std::memory_order_relaxed);
-            if (telemetry::enabled()) {
-              server_metrics().stalls.add(1);
-            }
           }
         }
       }
@@ -831,9 +736,7 @@ void Server::publish_incumbent(std::shared_ptr<const nn::ExecutionPlan> plan) {
   }
   swaps_.fetch_add(1, std::memory_order_relaxed);
   if (telemetry::enabled()) {
-    ServerMetrics& m = server_metrics();
-    m.weight_swaps.add(1);
-    m.weights_version.set(
+    server_metrics().weights_version.set(
         static_cast<double>(weights_version_.load(std::memory_order_relaxed)));
   }
 }
@@ -878,9 +781,7 @@ std::uint64_t Server::canary_start(
   }
   canary_starts_.fetch_add(1, std::memory_order_relaxed);
   if (telemetry::enabled()) {
-    ServerMetrics& m = server_metrics();
-    m.canary_starts.add(1);
-    m.canary_version.set(static_cast<double>(seq));
+    server_metrics().canary_version.set(static_cast<double>(seq));
   }
   return seq;
 }
@@ -910,16 +811,10 @@ bool Server::canary_end(bool promote) {
     // the promotion.
     publish_incumbent(candidate->plan);
     canary_promotes_.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry::enabled()) {
-      server_metrics().canary_promotes.add(1);
-    }
   } else {
     // Rollback is pure bookkeeping: the incumbent was never displaced, so
     // restoring it is a no-op by construction.
     canary_rollbacks_.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry::enabled()) {
-      server_metrics().canary_rollbacks.add(1);
-    }
   }
   if (telemetry::enabled()) {
     server_metrics().canary_version.set(0.0);
@@ -953,9 +848,7 @@ void Server::maybe_adopt_weights(Replica& replica) {
     replica.weights_seen = published->version;
     adoptions_.fetch_add(1, std::memory_order_relaxed);
     if (telemetry::enabled()) {
-      ServerMetrics& m = server_metrics();
-      m.swap_adoptions.add(1);
-      m.swap_latency.observe(
+      server_metrics().swap_latency.observe(
           static_cast<double>(now_ns() - published->published_ns) * 1e-9);
     }
   }
@@ -990,9 +883,6 @@ std::shared_ptr<const nn::ExecutionPlan> Server::restore_plan_for_restart(
       TRIDENT_REQUIRE(restored.layer_sizes() == model_.layer_sizes(),
                       "snapshot model architecture does not match the server");
       snapshot_restores_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry::enabled()) {
-        server_metrics().snapshot_restores.add(1);
-      }
       // Snapshot weights are whatever the snapshot holds — generally NOT
       // the published weights — so they get their own plan, compiled here
       // on the supervisor thread; the next publication replaces it.
@@ -1002,9 +892,6 @@ std::shared_ptr<const nn::ExecutionPlan> Server::restore_plan_for_restart(
       // than refuse to heal — availability first, and the counter makes
       // the degradation observable.
       snapshot_restore_failures_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry::enabled()) {
-        server_metrics().snapshot_restore_failures.add(1);
-      }
     }
   }
   return published->plan;
@@ -1047,9 +934,6 @@ void Server::restart_replica(Replica& replica) {
   replica.canary_percent = 0;
   replica.backend = make_backend(replica.index, incarnation);
   restarts_.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry::enabled()) {
-    server_metrics().replica_restarts.add(1);
-  }
   start_worker(replica);
 }
 
@@ -1104,7 +988,7 @@ ServerStats Server::retire() {
   return stats();
 }
 
-ServerStats Server::stats() const {
+ServerStats Server::counters() const {
   ServerStats s;
   s.submitted = submitted_.load(std::memory_order_relaxed);
   s.accepted = queue_.accepted();
@@ -1115,9 +999,6 @@ ServerStats Server::stats() const {
   s.mean_batch = s.batches == 0 ? 0.0
                                 : static_cast<double>(s.completed) /
                                       static_cast<double>(s.batches);
-  s.sojourn = sojourn_.summary();
-  s.queue_wait = queue_wait_.summary();
-  s.service = service_.summary();
   s.slo_violations = slo_violations_.load(std::memory_order_relaxed);
   s.retries = retries_.load(std::memory_order_relaxed);
   s.replica_deaths = deaths_.load(std::memory_order_relaxed);
@@ -1138,6 +1019,79 @@ ServerStats Server::stats() const {
   s.canary_dispatches = canary_dispatches_.load(std::memory_order_relaxed);
   s.incumbent_dispatches =
       incumbent_dispatches_.load(std::memory_order_relaxed);
+  return s;
+}
+
+void Server::collect_counters(
+    std::vector<telemetry::CounterSample>& out) const {
+  const ServerStats c = counters();
+  out.insert(
+      out.end(),
+      {
+          {"trident_serving_requests_accepted_total",
+           "requests admitted into the serving queue", c.accepted},
+          {"trident_serving_requests_shed_total",
+           "requests rejected by admission control", c.shed},
+          {"trident_serving_requests_completed_total",
+           "requests served to completion", c.completed},
+          {"trident_serving_requests_failed_total",
+           "requests answered with an explicit kFailed response", c.failed},
+          {"trident_serving_retries_total",
+           "requests requeued after a transient fault or replica death",
+           c.retries},
+          {"trident_serving_batches_total", "micro-batches cut and served",
+           c.batches},
+          {"trident_serving_slo_violations_total",
+           "responses slower than the configured sojourn SLO",
+           c.slo_violations},
+          {"trident_serving_replica_deaths_total",
+           "workers lost to a HardwareFailure", c.replica_deaths},
+          {"trident_serving_replica_restarts_total",
+           "supervisor restarts (new replica incarnations)",
+           c.replica_restarts},
+          {"trident_serving_replica_stalls_total",
+           "replicas flagged past the stall threshold", c.stalls_detected},
+          {"trident_serving_weight_swaps_total", "hot_swap weight publications",
+           c.weight_swaps},
+          {"trident_serving_weight_swap_adoptions_total",
+           "replica adoptions of published weights at batch bounds",
+           c.swap_adoptions},
+          {"trident_serving_snapshot_restores_total",
+           "replica restarts healed from the configured snapshot",
+           c.snapshot_restores},
+          {"trident_serving_snapshot_restore_failures_total",
+           "snapshot restores that fell back to published weights",
+           c.snapshot_restore_failures},
+          {"trident_quantized_dispatch_total",
+           "responses served by the int8 quantized tier",
+           c.quantized_dispatches},
+          {"trident_exact_dispatch_total",
+           "responses served by the exact device-model tier",
+           c.exact_dispatches},
+          {"trident_serving_fast_fallbacks_total",
+           "kFast requests served exact (replica has no quantized tier)",
+           c.fast_fallbacks},
+          {"trident_canary_dispatch_total",
+           "responses served by the candidate (canary) weights",
+           c.canary_dispatches},
+          {"trident_incumbent_dispatch_total",
+           "responses served by the incumbent weights",
+           c.incumbent_dispatches},
+          {"trident_serving_canary_starts_total",
+           "candidate weight sets published to the canary stage",
+           c.canary_starts},
+          {"trident_serving_canary_promotes_total",
+           "canaries promoted to incumbent via hot_swap", c.canary_promotes},
+          {"trident_serving_canary_rollbacks_total",
+           "canaries rolled back (candidate discarded)", c.canary_rollbacks},
+      });
+}
+
+ServerStats Server::stats() const {
+  ServerStats s = counters();
+  s.sojourn = sojourn_.summary();
+  s.queue_wait = queue_wait_.summary();
+  s.service = service_.summary();
   {
     std::lock_guard lock(drain_mutex_);
     if (drained_) {

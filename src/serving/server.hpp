@@ -65,6 +65,7 @@
 #include "serving/request_queue.hpp"
 #include "serving/slo.hpp"
 #include "state/snapshot.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace trident::serving {
 
@@ -175,7 +176,9 @@ struct ReplicaHealth {
 };
 
 /// Point-in-time view of the runtime's own accounting (available with
-/// telemetry compiled out; the bench cross-validates these numbers).
+/// telemetry compiled out; the bench cross-validates these numbers).  The
+/// counters are the only copy: the metrics registry reads them at
+/// snapshot time as the trident_serving_* series.
 struct ServerStats {
   std::uint64_t submitted = 0;
   std::uint64_t accepted = 0;
@@ -214,7 +217,7 @@ struct ServerStats {
   std::uint64_t incumbent_dispatches = 0;
   /// Tier dispatch accounting.  Every completed response is exactly one of
   /// the two (quantized + exact == completed — the metrics validator checks
-  /// the telemetry mirror of this invariant).
+  /// this invariant on every exported snapshot).
   std::uint64_t quantized_dispatches = 0;  ///< responses served by the int8 tier
   std::uint64_t exact_dispatches = 0;      ///< responses served exact
   std::uint64_t fast_fallbacks = 0;  ///< kFast requests served exact (no tier)
@@ -325,6 +328,10 @@ class Server {
   }
 
   [[nodiscard]] ServerStats stats() const;
+  /// The counter fields of stats() only: no latency summaries (no window
+  /// sort), no ledger, and no SLO gauge write.  The cheap read for callers
+  /// that poll many servers (fleet queries) and for the registry collector.
+  [[nodiscard]] ServerStats counters() const;
   /// Per-replica lifecycle/heartbeat view (cheap, lock-free).
   [[nodiscard]] std::vector<ReplicaHealth> health() const;
   /// The flight recorder, when ServerConfig::flight.enabled (else null).
@@ -446,6 +453,9 @@ class Server {
   /// Publishes exact p50/p99 sojourn gauges to telemetry (no-op when
   /// telemetry is off).
   void publish_slo_gauges(const LatencySummary& sojourn) const;
+  /// Registry collector: counters() as trident_serving_* samples (plus the
+  /// tier and canary-arm dispatch partitions).
+  void collect_counters(std::vector<telemetry::CounterSample>& out) const;
 
   ServerConfig config_;
   nn::Mlp model_;  ///< construction-time model: the serving architecture
@@ -513,6 +523,14 @@ class Server {
 
   mutable std::mutex drain_mutex_;
   bool drained_ = false;
+
+  /// Last member: destroyed first, so the registry folds the final counts
+  /// before any counter it reads goes away.
+  telemetry::CollectorHandle collector_ =
+      telemetry::MetricsRegistry::global().add_collector(
+          [this](std::vector<telemetry::CounterSample>& out) {
+            collect_counters(out);
+          });
 };
 
 }  // namespace trident::serving

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -171,21 +172,70 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   return *slot.second;
 }
 
+CollectorHandle::~CollectorHandle() { registry_.remove_collector(id_); }
+
+CollectorHandle MetricsRegistry::add_collector(CounterCollector collect) {
+  std::lock_guard lock(collectors_mutex_);
+  const std::uint64_t id = next_collector_id_++;
+  collectors_.emplace(id, std::move(collect));
+  return CollectorHandle(*this, id);
+}
+
+void MetricsRegistry::remove_collector(std::uint64_t id) {
+  // The final collect and the fold happen under collectors_mutex_, which
+  // snapshot() holds across its whole read: a scrape sees the owner's
+  // values either live or folded, never neither.
+  std::lock_guard lock(collectors_mutex_);
+  const auto it = collectors_.find(id);
+  std::vector<CounterSample> last;
+  it->second(last);
+  collectors_.erase(it);
+  for (const CounterSample& c : last) {
+    counter(c.name, c.help).add(c.value);
+  }
+}
+
 MetricsSnapshot MetricsRegistry::snapshot() const {
-  std::lock_guard lock(mutex_);
+  std::lock_guard collectors_lock(collectors_mutex_);
   MetricsSnapshot s;
-  s.counters.reserve(counters_.size());
-  for (const auto& [name, entry] : counters_) {
-    s.counters.push_back({name, entry.first, entry.second->value()});
+  {
+    std::lock_guard lock(mutex_);
+    s.counters.reserve(counters_.size());
+    for (const auto& [name, entry] : counters_) {
+      s.counters.push_back({name, entry.first, entry.second->value()});
+    }
+    s.gauges.reserve(gauges_.size());
+    for (const auto& [name, entry] : gauges_) {
+      s.gauges.push_back({name, entry.first, entry.second->value()});
+    }
+    s.histograms.reserve(histograms_.size());
+    for (const auto& [name, entry] : histograms_) {
+      s.histograms.push_back({name, entry.first, entry.second->snapshot()});
+    }
   }
-  s.gauges.reserve(gauges_.size());
-  for (const auto& [name, entry] : gauges_) {
-    s.gauges.push_back({name, entry.first, entry.second->value()});
+  // Collectors run without mutex_, so one may take its owner's locks (see
+  // the rules on add_collector).  Owned counters come first, so the stable
+  // sort keeps their help string ahead of a collector's.
+  for (const auto& [id, collect] : collectors_) {
+    collect(s.counters);
   }
-  s.histograms.reserve(histograms_.size());
-  for (const auto& [name, entry] : histograms_) {
-    s.histograms.push_back({name, entry.first, entry.second->snapshot()});
+  std::stable_sort(s.counters.begin(), s.counters.end(),
+                   [](const CounterSample& a, const CounterSample& b) {
+                     return a.name < b.name;
+                   });
+  std::vector<CounterSample> merged;
+  merged.reserve(s.counters.size());
+  for (CounterSample& c : s.counters) {
+    if (!merged.empty() && merged.back().name == c.name) {
+      merged.back().value += c.value;
+      if (merged.back().help.empty()) {
+        merged.back().help = std::move(c.help);
+      }
+    } else {
+      merged.push_back(std::move(c));
+    }
   }
+  s.counters = std::move(merged);
   return s;
 }
 

@@ -1,7 +1,9 @@
 // Thread-safe metrics registry: counters, gauges and fixed-bucket
 // histograms with Welford running statistics (common/stats.hpp).
 //
-// Usage pattern (the only one the hot paths use):
+// Two ways to feed it.  Process-wide instruments (ledger mirrors, GEMM
+// dispatch, histograms, gauges) are owned by the registry and pushed at
+// the call site:
 //
 //   namespace {
 //   struct Metrics {
@@ -22,6 +24,27 @@
 // never record on their own — call sites guard with telemetry::enabled(),
 // so the disabled path costs one branch on a relaxed atomic.
 //
+// Objects that already keep their own always-on counters (a serving
+// Server, a Fleet, a LearningPipeline) do not push a second copy.  They
+// register a collector that reads those counters when snapshot() runs,
+// and hold the returned handle as their LAST member, so it is destroyed
+// before the counters it reads:
+//
+//   class Owner {
+//     std::atomic<std::uint64_t> served_{0};
+//     telemetry::CollectorHandle collector_ =
+//         telemetry::MetricsRegistry::global().add_collector(
+//             [this](std::vector<telemetry::CounterSample>& out) {
+//               out.push_back({"trident_owner_served_total", "requests served",
+//                              served_.load(std::memory_order_relaxed)});
+//             });
+//   };
+//
+// Samples merge by name: several live owners and the registry's own
+// counter of that name sum into one series.  When a handle is destroyed
+// its final values fold into the registry's own counter, so exported
+// totals stay monotonic after the owner is gone.
+//
 // References returned by the registry are stable for the process lifetime
 // (the registry is an intentionally leaked singleton, so worker threads
 // may record during static destruction without ordering hazards).
@@ -29,6 +52,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -149,6 +173,30 @@ struct MetricsSnapshot {
   [[nodiscard]] double gauge_value(const std::string& name) const;
 };
 
+/// Appends an owner's current counter values at snapshot time.
+using CounterCollector = std::function<void(std::vector<CounterSample>&)>;
+
+class MetricsRegistry;
+
+/// RAII registration of a CounterCollector.  Destruction collects one
+/// last time, folds those values into the registry's own counters of the
+/// same names, and unregisters — blocking until any snapshot in progress
+/// has finished, so no scrape ever calls into a destroyed owner.
+class CollectorHandle {
+ public:
+  CollectorHandle(const CollectorHandle&) = delete;
+  CollectorHandle& operator=(const CollectorHandle&) = delete;
+  ~CollectorHandle();
+
+ private:
+  friend class MetricsRegistry;
+  CollectorHandle(MetricsRegistry& registry, std::uint64_t id)
+      : registry_(registry), id_(id) {}
+
+  MetricsRegistry& registry_;
+  std::uint64_t id_;
+};
+
 /// Thread-safe name → instrument registry.  Names follow the Prometheus
 /// grammar `[a-zA-Z_:][a-zA-Z0-9_:]*`; re-registering a name returns the
 /// same instrument (the first help string and bucket layout win).
@@ -166,13 +214,37 @@ class MetricsRegistry {
   Histogram& histogram(const std::string& name, std::vector<double> bounds,
                        const std::string& help = "");
 
+  /// Registers `collect`, called by every snapshot() from then on.  Its
+  /// samples merge with the registry's own counters by name (values
+  /// summed, the first non-empty help string wins).
+  ///
+  /// Locking rules:
+  ///   * Collectors run outside the instrument mutex, under a collectors
+  ///     mutex that unregistration also takes.
+  ///   * A collector may take only locks under which no code registers or
+  ///     drops a collector (constructs or destroys a collector owner) or
+  ///     calls snapshot(); otherwise a scrape and that code deadlock.
+  [[nodiscard]] CollectorHandle add_collector(CounterCollector collect);
+
+  /// Owned counters merged with every live collector's samples, sorted by
+  /// name with each name once.
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// Zeroes every instrument's value (registrations and the references
-  /// handed out stay valid).  For tests and per-phase benches.
+  /// Zeroes every owned instrument's value (registrations and the
+  /// references handed out stay valid).  Values a live collector reports
+  /// belong to its owner and are not reset.  For tests and per-phase
+  /// benches.
   void reset_values();
 
  private:
+  friend class CollectorHandle;
+  void remove_collector(std::uint64_t id);
+
+  /// Taken before mutex_ wherever both are held.
+  mutable std::mutex collectors_mutex_;
+  std::map<std::uint64_t, CounterCollector> collectors_;
+  std::uint64_t next_collector_id_ = 1;
+
   mutable std::mutex mutex_;
   std::map<std::string, std::pair<std::string, std::unique_ptr<Counter>>>
       counters_;

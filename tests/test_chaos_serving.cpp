@@ -79,8 +79,9 @@ nn::Vector seeded_input(std::uint64_t seed) {
   return x;
 }
 
-/// Fresh telemetry epoch for mirror checks: the registry is process-global
-/// and cumulative, so each test zeroes it before its own fleet runs.
+/// Fresh telemetry epoch for the ledger and injection-log checks: the
+/// registry is process-global and cumulative, so each test zeroes it
+/// before its own server runs.
 void reset_telemetry() {
   telemetry::set_enabled(true);
   telemetry::MetricsRegistry::global().reset_values();
@@ -185,9 +186,9 @@ TEST(ChaosSoak, KilledReplicaSelfHealsUnderLoad) {
     EXPECT_NE(h.state, ReplicaState::kDead);
   }
 
-  // The full invariant sweep: request conservation, telemetry mirror
-  // (including the injection-log ↔ trident_chaos_* double entry), queue
-  // bounds.  Print the violations with the seed so the failure replays.
+  // The full invariant sweep: request conservation, the injection-log ↔
+  // trident_chaos_* double entry, queue bounds.  Print the violations with
+  // the seed so the failure replays.
   const InvariantReport report =
       check_soak(server, stats, /*load=*/nullptr, &injected);
   EXPECT_TRUE(report.ok()) << "invariants violated under seed " << seed

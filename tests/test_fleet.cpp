@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <limits>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "chaos/invariants.hpp"
@@ -41,8 +43,8 @@ nn::Vector seeded_input(std::uint64_t seed) {
   return x;
 }
 
-/// Registry epoch per test: mirror checks compare cumulative process-global
-/// counters against this one fleet's books.
+/// Registry epoch per test: the ledger check compares cumulative
+/// process-global counters against this one fleet's books.
 void reset_telemetry() {
   telemetry::set_enabled(true);
   telemetry::MetricsRegistry::global().reset_values();
@@ -396,6 +398,95 @@ TEST(Fleet, AutoscalerShrinksIdleFleetToMin) {
   const chaos::InvariantReport sweep = chaos::check_fleet_soak(
       fleet.stats(), fleet.tenant_stats(), /*ledger_books=*/true);
   EXPECT_TRUE(sweep.ok()) << sweep.to_string();
+}
+
+// --- registry collectors -----------------------------------------------------
+
+/// Serves 16 gold requests through `fleet` and waits for every response.
+void serve_sixteen(Fleet& fleet) {
+  std::vector<std::future<Response>> futures;
+  for (int i = 0; i < 16; ++i) {
+    auto fut =
+        fleet.submit("t", seeded_input(300u + static_cast<std::uint64_t>(i)));
+    ASSERT_TRUE(fut.has_value());
+    futures.push_back(std::move(*fut));
+  }
+  (void)settle(futures);
+}
+
+TEST(FleetTelemetry, RetiringANodeKeepsServingTotalsMonotonic) {
+  reset_telemetry();
+  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
+  const auto counter = [&reg](const std::string& name) {
+    return reg.snapshot().counter_value(name);
+  };
+  // A concurrent scraper: the fleet collector reads tenant accounts while
+  // submits and completion hooks update them, and node Servers come and
+  // go under it.  No total may ever step backwards.
+  std::atomic<bool> done{false};
+  std::uint64_t decreases = 0;
+  std::thread scraper([&] {
+    std::uint64_t serving = 0;
+    std::uint64_t tenant = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const telemetry::MetricsSnapshot snap = reg.snapshot();
+      const std::uint64_t s =
+          snap.counter_value("trident_serving_requests_completed_total");
+      const std::uint64_t t =
+          snap.counter_value("trident_tenant_t_requests_completed_total");
+      decreases += (s < serving ? 1u : 0u) + (t < tenant ? 1u : 0u);
+      serving = s;
+      tenant = t;
+    }
+  });
+  {
+    Fleet fleet(test_model(), small_fleet(2));
+    (void)fleet.register_tenant({.name = "t", .klass = TenantClass::kGold});
+    serve_sixteen(fleet);
+    EXPECT_EQ(counter("trident_serving_requests_completed_total"), 16u);
+    EXPECT_EQ(counter("trident_fleet_requests_completed_total"), 16u);
+    EXPECT_EQ(counter("trident_tenant_t_requests_completed_total"), 16u);
+
+    // The retired node's Server is destroyed; its counts must fold into
+    // the registry rather than drop out of the total.
+    // (No ASSERTs while the scraper runs: an early return would leave the
+    // thread joinable.)
+    const std::vector<NodeStatus> status = fleet.node_status();
+    EXPECT_EQ(status.size(), 2u);
+    EXPECT_TRUE(!status.empty() && fleet.retire_node(status[0].id));
+    EXPECT_EQ(counter("trident_serving_requests_completed_total"), 16u);
+    serve_sixteen(fleet);
+    fleet.drain();
+    EXPECT_EQ(counter("trident_serving_requests_completed_total"), 32u);
+  }
+  done.store(true, std::memory_order_release);
+  scraper.join();
+  EXPECT_EQ(decreases, 0u);
+  // The fleet itself is gone too: its own and its tenants' books persist.
+  EXPECT_EQ(counter("trident_serving_requests_completed_total"), 32u);
+  EXPECT_EQ(counter("trident_fleet_requests_completed_total"), 32u);
+  EXPECT_EQ(counter("trident_fleet_node_retires_total"), 2u);
+  EXPECT_EQ(counter("trident_tenant_t_requests_submitted_total"), 32u);
+}
+
+TEST(FleetTelemetry, FleetQueriesLeaveTheSojournGaugeAlone) {
+  if (!telemetry::compiled_in()) {
+    GTEST_SKIP() << "built with -DTRIDENT_TELEMETRY=OFF";
+  }
+  reset_telemetry();
+  Fleet fleet(test_model(), small_fleet(2));
+  (void)fleet.register_tenant({.name = "t", .klass = TenantClass::kGold});
+  serve_sixteen(fleet);
+
+  // HealthMonitor reads this gauge; a fleet query polls every node and
+  // must not overwrite it with whichever node it happened to read last.
+  telemetry::Gauge& p99 = telemetry::MetricsRegistry::global().gauge(
+      "trident_serving_sojourn_p99_seconds");
+  p99.set(42.0);
+  (void)fleet.stats();
+  (void)fleet.node_status();
+  EXPECT_EQ(p99.value(), 42.0);
+  fleet.drain();
 }
 
 }  // namespace

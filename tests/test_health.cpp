@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
+#include "nn/mlp.hpp"
+#include "serving/server.hpp"
 #include "telemetry/health.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
@@ -211,6 +214,59 @@ TEST_F(HealthTest, SampleRegistryReadsServingMetrics) {
   EXPECT_DOUBLE_EQ(s.p99_s, 0.125);
   // Energy is ledger-derived; the registry sampler leaves it for callers.
   EXPECT_DOUBLE_EQ(s.energy_per_inference_j, 0.0);
+}
+
+/// A one-replica server over a small seeded model.
+serving::ServerConfig small_server() {
+  serving::ServerConfig cfg;
+  cfg.replicas = 1;
+  cfg.max_batch = 4;
+  return cfg;
+}
+
+nn::Mlp small_model() {
+  Rng rng(0x5eedu);
+  return nn::Mlp({4, 8, 3}, nn::Activation::kGstPhotonic, rng);
+}
+
+TEST_F(HealthTest, SampleRegistryCountsAdmissionBlipSheds) {
+  MetricsRegistry::global().reset_values();
+  serving::ServerConfig cfg = small_server();
+  cfg.admission_blip = [](std::uint64_t i) { return i % 2 == 0; };
+  serving::Server server(small_model(), cfg);
+  std::uint64_t blipped = 0;
+  for (int i = 0; i < 10; ++i) {
+    auto fut = server.submit(nn::Vector{0.1, -0.2, 0.3, -0.4});
+    if (fut) {
+      (void)fut->get();
+    } else {
+      ++blipped;
+    }
+  }
+  EXPECT_EQ(blipped, 5u);
+  EXPECT_EQ(server.stats().shed, blipped);
+  // The sampler reads the registry, which reads the server's own shed
+  // count — admission-control and chaos-blip sheds alike.
+  EXPECT_GE(HealthMonitor::sample_registry(0.0).shed, blipped);
+}
+
+TEST_F(HealthTest, SampleRegistrySumsOwnedCountersWithLiveServers) {
+  MetricsRegistry& reg = MetricsRegistry::global();
+  reg.reset_values();
+  reg.counter("trident_serving_requests_completed_total").add(7);
+  serving::Server server(small_model(), small_server());
+  for (int i = 0; i < 3; ++i) {
+    auto fut = server.submit(nn::Vector{0.1, -0.2, 0.3, -0.4});
+    ASSERT_TRUE(fut.has_value());
+    (void)fut->get();
+  }
+  EXPECT_EQ(HealthMonitor::sample_registry(0.0).completed, 10u);
+  // The owned counter and the server's collector share the name; the
+  // snapshot still lists every name once, in strictly ascending order.
+  const MetricsSnapshot snap = reg.snapshot();
+  for (std::size_t i = 1; i < snap.counters.size(); ++i) {
+    EXPECT_LT(snap.counters[i - 1].name, snap.counters[i].name);
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <limits>
 #include <map>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "chaos/invariants.hpp"
@@ -21,6 +22,7 @@
 #include "serving/load_gen.hpp"
 #include "serving/request_queue.hpp"
 #include "serving/slo.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace trident::serving {
 namespace {
@@ -1155,6 +1157,69 @@ TEST(LoadGen, NegativeConfigStillRejected) {
   EXPECT_THROW((void)run_poisson_load(server, load,
                                       [](int) { return nn::Vector(8, 0.0); }),
                Error);
+}
+
+// --- registry collector ------------------------------------------------------
+
+TEST(ServingTelemetry, RegistryReadsEveryCounterFromServerStats) {
+  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
+  reg.reset_values();
+  ServerConfig cfg;
+  cfg.replicas = 1;
+  cfg.admission_blip = [](std::uint64_t i) { return i == 0; };
+  Server server(test_model(), cfg);
+  const auto inputs = seeded_inputs(12);
+  const auto serve = [&](int from, int to) {
+    for (int i = from; i < to; ++i) {
+      // Odd submits ask for the fast tier, which this server lacks.
+      auto fut = server.submit(inputs[static_cast<std::size_t>(i)],
+                               i % 2 == 1 ? ServingTier::kFast
+                                          : ServingTier::kExact);
+      if (fut) {
+        (void)fut->get();
+      }
+    }
+  };
+  serve(0, 6);
+  server.hot_swap(test_model(0xABCu));
+  ASSERT_NE(server.canary_start(test_model(0xDEFu), 50), 0u);
+  ASSERT_TRUE(server.canary_end(/*promote=*/false));
+  serve(6, 12);
+  server.drain();
+
+  const ServerStats s = server.stats();
+  EXPECT_EQ(s.shed, 1u);
+  EXPECT_GT(s.fast_fallbacks, 0u);
+  EXPECT_GT(s.swap_adoptions, 0u);
+  const std::pair<const char*, std::uint64_t> expected[] = {
+      {"trident_serving_requests_accepted_total", s.accepted},
+      {"trident_serving_requests_shed_total", s.shed},
+      {"trident_serving_requests_completed_total", s.completed},
+      {"trident_serving_requests_failed_total", s.failed},
+      {"trident_serving_retries_total", s.retries},
+      {"trident_serving_batches_total", s.batches},
+      {"trident_serving_slo_violations_total", s.slo_violations},
+      {"trident_serving_replica_deaths_total", s.replica_deaths},
+      {"trident_serving_replica_restarts_total", s.replica_restarts},
+      {"trident_serving_replica_stalls_total", s.stalls_detected},
+      {"trident_serving_weight_swaps_total", s.weight_swaps},
+      {"trident_serving_weight_swap_adoptions_total", s.swap_adoptions},
+      {"trident_serving_snapshot_restores_total", s.snapshot_restores},
+      {"trident_serving_snapshot_restore_failures_total",
+       s.snapshot_restore_failures},
+      {"trident_quantized_dispatch_total", s.quantized_dispatches},
+      {"trident_exact_dispatch_total", s.exact_dispatches},
+      {"trident_serving_fast_fallbacks_total", s.fast_fallbacks},
+      {"trident_canary_dispatch_total", s.canary_dispatches},
+      {"trident_incumbent_dispatch_total", s.incumbent_dispatches},
+      {"trident_serving_canary_starts_total", s.canary_starts},
+      {"trident_serving_canary_promotes_total", s.canary_promotes},
+      {"trident_serving_canary_rollbacks_total", s.canary_rollbacks},
+  };
+  const telemetry::MetricsSnapshot snap = reg.snapshot();
+  for (const auto& [name, value] : expected) {
+    EXPECT_EQ(snap.counter_value(name), value) << name;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Telemetry subsystem: registry semantics, span recording, exporter
 // formats, the runtime switch, and the ledger-mirror exactness contract.
+#include <atomic>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -8,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "core/photonic_backend.hpp"
+#include "nn/mlp.hpp"
+#include "serving/server.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/session.hpp"
@@ -173,6 +177,117 @@ TEST_F(TelemetryTest, SnapshotIsSortedByName) {
   for (std::size_t i = 1; i < s.counters.size(); ++i) {
     EXPECT_LT(s.counters[i - 1].name, s.counters[i].name);
   }
+}
+
+// --- collectors -------------------------------------------------------------
+
+TEST_F(TelemetryTest, CollectorSamplesMergeWithOwnedCountersByName) {
+  MetricsRegistry reg;
+  reg.counter("shared_total", "owned help").add(7);
+  const CollectorHandle handle =
+      reg.add_collector([](std::vector<CounterSample>& out) {
+        out.push_back({"shared_total", "collector help", 3});
+        out.push_back({"another_total", "only here", 1});
+        out.push_back({"shared_total", "", 10});
+      });
+  const MetricsSnapshot s = reg.snapshot();
+  ASSERT_EQ(s.counters.size(), 2u);
+  EXPECT_EQ(s.counters[0].name, "another_total");
+  EXPECT_EQ(s.counters[1].name, "shared_total");
+  EXPECT_EQ(s.counters[1].value, 20u);
+  EXPECT_EQ(s.counters[1].help, "owned help");
+  // reset_values() zeroes only what the registry owns.
+  reg.reset_values();
+  EXPECT_EQ(reg.snapshot().counter_value("shared_total"), 13u);
+}
+
+TEST_F(TelemetryTest, DroppedCollectorFoldsItsFinalValues) {
+  MetricsRegistry reg;
+  std::uint64_t live = 5;
+  {
+    const CollectorHandle handle =
+        reg.add_collector([&live](std::vector<CounterSample>& out) {
+          out.push_back({"folded_total", "from a collector", live});
+        });
+    live = 9;
+    EXPECT_EQ(reg.snapshot().counter_value("folded_total"), 9u);
+  }
+  live = 100;  // no longer read
+  const MetricsSnapshot s = reg.snapshot();
+  EXPECT_EQ(s.counter_value("folded_total"), 9u);
+  ASSERT_EQ(s.counters.size(), 1u);
+  EXPECT_EQ(s.counters[0].help, "from a collector");
+  // The fold is an owned counter now: reset_values() zeroes it.
+  reg.reset_values();
+  EXPECT_EQ(reg.snapshot().counter_value("folded_total"), 0u);
+}
+
+nn::Mlp collector_test_model() {
+  Rng rng(0x5eedu);
+  return nn::Mlp({4, 8, 3}, nn::Activation::kGstPhotonic, rng);
+}
+
+/// Serves `n` requests through `server` and waits for every response.
+void serve(serving::Server& server, int n) {
+  for (int i = 0; i < n; ++i) {
+    auto fut = server.submit(nn::Vector{0.1, -0.2, 0.3, -0.4});
+    ASSERT_TRUE(fut.has_value());
+    (void)fut->get();
+  }
+}
+
+TEST_F(TelemetryTest, TwoServersContributeTheirSum) {
+  MetricsRegistry& reg = MetricsRegistry::global();
+  reg.reset_values();
+  const auto completed = [&reg] {
+    return reg.snapshot().counter_value(
+        "trident_serving_requests_completed_total");
+  };
+  serving::ServerConfig cfg;
+  cfg.replicas = 1;
+  {
+    serving::Server a(collector_test_model(), cfg);
+    serving::Server b(collector_test_model(), cfg);
+    serve(a, 3);
+    serve(b, 5);
+    EXPECT_EQ(completed(), 8u);
+    EXPECT_EQ(reg.snapshot().counter_value(
+                  "trident_serving_requests_accepted_total"),
+              8u);
+  }
+  EXPECT_EQ(completed(), 8u);
+}
+
+TEST_F(TelemetryTest, ScrapesNeverSeeServingTotalsDecrease) {
+  MetricsRegistry& reg = MetricsRegistry::global();
+  reg.reset_values();
+  constexpr int kServers = 12;
+  constexpr int kRequests = 8;
+  std::atomic<bool> done{false};
+  std::uint64_t decreases = 0;
+  std::uint64_t last = 0;
+  std::thread scraper([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const std::uint64_t now = reg.snapshot().counter_value(
+          "trident_serving_requests_completed_total");
+      if (now < last) {
+        ++decreases;
+      }
+      last = now;
+    }
+  });
+  serving::ServerConfig cfg;
+  cfg.replicas = 2;
+  for (int i = 0; i < kServers; ++i) {
+    serving::Server server(collector_test_model(), cfg);
+    serve(server, kRequests);
+  }
+  done.store(true, std::memory_order_release);
+  scraper.join();
+  EXPECT_EQ(decreases, 0u);
+  EXPECT_EQ(reg.snapshot().counter_value(
+                "trident_serving_requests_completed_total"),
+            static_cast<std::uint64_t>(kServers * kRequests));
 }
 
 // --- switch -----------------------------------------------------------------
