@@ -247,13 +247,14 @@ void BM_AddOuterBatch(benchmark::State& state) {
 BENCHMARK(BM_AddOuterBatch)->ArgsProduct({{64, 256}, {8, 32}});
 
 void BM_PhotonicBackendMatvec(benchmark::State& state) {
+  // One sample as a one-row batch: the single-sample cost of the forward.
   const auto n = static_cast<std::size_t>(state.range(0));
   core::PhotonicBackend backend;
   Rng rng(2);
   const nn::Matrix w = nn::Matrix::xavier(n, n, rng);
-  nn::Vector x(n, 0.3);
+  const nn::Matrix x(1, n, 0.3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(backend.matvec(w, x));
+    benchmark::DoNotOptimize(backend.matmul(w, x));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(n * n));
@@ -262,7 +263,7 @@ BENCHMARK(BM_PhotonicBackendMatvec)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_PhotonicBackendMatmul(benchmark::State& state) {
   // Batched functional backend: one block quantize + one blocked GEMM,
-  // bit-identical to BM_PhotonicBackendMatvecLoop below.
+  // bit-identical to the one-row calls of BM_PhotonicBackendMatvecLoop.
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto batch = static_cast<std::size_t>(state.range(1));
   core::PhotonicBackend backend;
@@ -279,8 +280,8 @@ BENCHMARK(BM_PhotonicBackendMatmul)->ArgsProduct({{64, 256}, {8, 32}});
 void BM_QuantizedBackendMatmul(benchmark::State& state) {
   // End-to-end fast tier at the same shapes as BM_PhotonicBackendMatmul:
   // per-sample DAC quantize + packed int8 GEMM + scale-out, with the weight
-  // panel compiled once and served from the plan cache thereafter (the
-  // fingerprint re-hash is part of the steady-state cost on purpose).
+  // matrix re-packed into int8 levels on every call (that O(n²) pass is
+  // part of the per-op cost on purpose; served plans skip it).
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto batch = static_cast<std::size_t>(state.range(1));
   core::QuantizedBackend backend;
@@ -296,18 +297,20 @@ void BM_QuantizedBackendMatmul(benchmark::State& state) {
 BENCHMARK(BM_QuantizedBackendMatmul)->ArgsProduct({{64, 256}, {8, 32}});
 
 void BM_PhotonicBackendMatvecLoop(benchmark::State& state) {
+  // The same block as BM_PhotonicBackendMatmul, one one-row matmul per
+  // sample: what batching saves over per-sample calls.
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto batch = static_cast<std::size_t>(state.range(1));
   core::PhotonicBackend backend;
   Rng rng(2);
   const nn::Matrix w = nn::Matrix::xavier(n, n, rng);
   nn::Matrix x(batch, n, 0.3);
-  nn::Vector xb(n);
+  nn::Matrix xb(1, n);
   for (auto _ : state) {
     for (std::size_t b = 0; b < batch; ++b) {
       const auto row = x.row(b);
-      std::copy(row.begin(), row.end(), xb.begin());
-      benchmark::DoNotOptimize(backend.matvec(w, xb));
+      std::copy(row.begin(), row.end(), xb.data().begin());
+      benchmark::DoNotOptimize(backend.matmul(w, xb));
     }
   }
   set_gemm_counters(state, n, batch);
@@ -339,9 +342,10 @@ void BM_PhotonicBackendRank1(benchmark::State& state) {
   core::PhotonicBackend backend;
   Rng rng(3);
   nn::Matrix w = nn::Matrix::xavier(n, n, rng);
-  nn::Vector dh(n, 0.05), y(n, 0.4);
+  const nn::Matrix dh(1, n, 0.05);
+  const nn::Matrix y(1, n, 0.4);
   for (auto _ : state) {
-    backend.rank1_update(w, dh, y, 0.05);
+    backend.update_batch(w, dh, y, 0.05);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(n * n));

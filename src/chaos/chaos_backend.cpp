@@ -153,31 +153,6 @@ void ChaosBackend::corrupt(double& cell, const Perturbation& p) {
   }
 }
 
-nn::Vector ChaosBackend::matvec(const nn::Matrix& w, const nn::Vector& x) {
-  const Perturbation p = begin_op(/*has_output=*/true);
-  nn::Vector y = inner_->matvec(w, x);
-  if ((p.nan || p.stuck) && !y.empty()) {
-    corrupt(y.front(), p);
-  }
-  return y;
-}
-
-nn::Vector ChaosBackend::matvec_transposed(const nn::Matrix& w,
-                                           const nn::Vector& x) {
-  const Perturbation p = begin_op(/*has_output=*/true);
-  nn::Vector y = inner_->matvec_transposed(w, x);
-  if ((p.nan || p.stuck) && !y.empty()) {
-    corrupt(y.front(), p);
-  }
-  return y;
-}
-
-void ChaosBackend::rank1_update(nn::Matrix& w, const nn::Vector& dh,
-                                const nn::Vector& y_prev, double lr) {
-  (void)begin_op(/*has_output=*/false);
-  inner_->rank1_update(w, dh, y_prev, lr);
-}
-
 nn::Matrix ChaosBackend::matmul(const nn::Matrix& w, const nn::Matrix& x) {
   const Perturbation p = begin_op(/*has_output=*/true);
   nn::Matrix y = inner_->matmul(w, x);

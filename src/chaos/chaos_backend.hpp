@@ -69,12 +69,6 @@ class ChaosBackend final : public nn::MatvecBackend {
                std::shared_ptr<const FaultPlan> plan, int replica,
                int incarnation, std::shared_ptr<InjectionLog> log = nullptr);
 
-  [[nodiscard]] nn::Vector matvec(const nn::Matrix& w,
-                                  const nn::Vector& x) override;
-  [[nodiscard]] nn::Vector matvec_transposed(const nn::Matrix& w,
-                                             const nn::Vector& x) override;
-  void rank1_update(nn::Matrix& w, const nn::Vector& dh,
-                    const nn::Vector& y_prev, double lr) override;
   [[nodiscard]] nn::Matrix matmul(const nn::Matrix& w,
                                   const nn::Matrix& x) override;
   [[nodiscard]] nn::Matrix matmul_transposed(const nn::Matrix& w,

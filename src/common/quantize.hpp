@@ -40,8 +40,14 @@ class SymmetricQuantizer {
   [[nodiscard]] double range() const { return range_; }
 
   /// Signed level index in [-half_steps, +half_steps]; values outside
-  /// [-range, range] saturate.
+  /// [-range, range] saturate.  NaN maps to level 0: std::clamp passes NaN
+  /// through and std::lround's result for it is unspecified, so the
+  /// quantizer defines it rather than inherit whatever the platform does.
+  /// (Detecting the NaN is the caller's job; this only keeps it defined.)
   [[nodiscard]] int to_level(double x) const {
+    if (std::isnan(x)) {
+      return 0;
+    }
     const double clamped = std::clamp(x, -range_, range_);
     return static_cast<int>(std::lround(clamped / step_));
   }
@@ -138,7 +144,12 @@ class UnsignedQuantizer {
   [[nodiscard]] int levels() const { return levels_; }
   [[nodiscard]] double step() const { return step_; }
 
+  /// Level index in [0, levels]; values outside [0, range] saturate and
+  /// NaN maps to level 0 (see SymmetricQuantizer::to_level).
   [[nodiscard]] int to_level(double x) const {
+    if (std::isnan(x)) {
+      return 0;
+    }
     const double clamped = std::clamp(x, 0.0, range_);
     return static_cast<int>(std::lround(clamped / step_));
   }

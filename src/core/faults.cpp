@@ -1,5 +1,7 @@
 #include "core/faults.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 
 namespace trident::core {
@@ -12,7 +14,7 @@ FaultyBackend::FaultyBackend(const FaultConfig& config)
                   "stuck value must lie in the weight range");
 }
 
-const FaultyBackend::Mask& FaultyBackend::mask_for(const nn::Matrix& w) {
+FaultyBackend::Mask& FaultyBackend::mask_for(const nn::Matrix& w) {
   const void* key = static_cast<const void*>(&w);
   auto it = masks_.find(key);
   if (it == masks_.end()) {
@@ -31,53 +33,46 @@ const FaultyBackend::Mask& FaultyBackend::mask_for(const nn::Matrix& w) {
   return it->second;
 }
 
-nn::Matrix FaultyBackend::effective(const nn::Matrix& w) {
-  const Mask& mask = mask_for(w);
-  nn::Matrix eff = w;
+const nn::Matrix& FaultyBackend::effective(const nn::Matrix& w) {
+  Mask& mask = mask_for(w);
+  mask.effective = w;
   for (std::size_t i = 0; i < mask.positions.size(); ++i) {
-    eff.data()[mask.positions[i]] = mask.stuck[i];
+    mask.effective.data()[mask.positions[i]] = mask.stuck[i];
   }
-  return eff;
+  return mask.effective;
 }
 
 std::size_t FaultyBackend::fault_count(const nn::Matrix& w) {
   return mask_for(w).positions.size();
 }
 
-nn::Vector FaultyBackend::matvec(const nn::Matrix& w, const nn::Vector& x) {
-  const nn::Matrix eff = effective(w);
-  return inner_.matvec(eff, x);
-}
-
-nn::Vector FaultyBackend::matvec_transposed(const nn::Matrix& w,
-                                            const nn::Vector& x) {
-  const nn::Matrix eff = effective(w);
-  return inner_.matvec_transposed(eff, x);
-}
-
 nn::Matrix FaultyBackend::matmul(const nn::Matrix& w, const nn::Matrix& x) {
-  // One mask application for the whole block: the inner batched kernel is
-  // loop-identical per row, so outputs match a loop of faulted matvecs
-  // bit-for-bit while the bank is programmed once instead of per sample.
-  const nn::Matrix eff = effective(w);
-  return inner_.matmul(eff, x);
+  return inner_.matmul(effective(w), x);
 }
 
 nn::Matrix FaultyBackend::matmul_transposed(const nn::Matrix& w,
                                             const nn::Matrix& x) {
-  const nn::Matrix eff = effective(w);
-  return inner_.matmul_transposed(eff, x);
+  return inner_.matmul_transposed(effective(w), x);
 }
 
-void FaultyBackend::rank1_update(nn::Matrix& w, const nn::Vector& dh,
-                                 const nn::Vector& y_prev, double lr) {
-  inner_.rank1_update(w, dh, y_prev, lr);
-  // Writes to dead cells are lost: the stored value snaps back.  (It does
-  // not matter what value the master copy holds — reads always see the
-  // stuck value — but keeping them pinned makes inspection honest.)
+void FaultyBackend::update_batch(nn::Matrix& w, const nn::Matrix& dh,
+                                 const nn::Matrix& y_prev, double lr) {
+  TRIDENT_REQUIRE(dh.rows() == y_prev.rows(), "update batch mismatch");
   const Mask& mask = mask_for(w);
-  for (std::size_t i = 0; i < mask.positions.size(); ++i) {
-    w.data()[mask.positions[i]] = mask.stuck[i];
+  nn::Matrix dhb(1, dh.cols());
+  nn::Matrix yb(1, y_prev.cols());
+  for (std::size_t b = 0; b < dh.rows(); ++b) {
+    const auto dr = dh.row(b);
+    const auto yr = y_prev.row(b);
+    std::copy(dr.begin(), dr.end(), dhb.data().begin());
+    std::copy(yr.begin(), yr.end(), yb.data().begin());
+    inner_.update_batch(w, dhb, yb, lr);
+    // Writes to dead cells are lost: the stored value snaps back after
+    // every sample, so the next sample's update (and its write count) sees
+    // the stuck value, as the device would.
+    for (std::size_t i = 0; i < mask.positions.size(); ++i) {
+      w.data()[mask.positions[i]] = mask.stuck[i];
+    }
   }
 }
 

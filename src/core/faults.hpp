@@ -36,24 +36,16 @@ class FaultyBackend final : public nn::MatvecBackend {
  public:
   explicit FaultyBackend(const FaultConfig& config = {});
 
-  [[nodiscard]] nn::Vector matvec(const nn::Matrix& w,
-                                  const nn::Vector& x) override;
-  [[nodiscard]] nn::Vector matvec_transposed(const nn::Matrix& w,
-                                             const nn::Vector& x) override;
-  void rank1_update(nn::Matrix& w, const nn::Vector& dh,
-                    const nn::Vector& y_prev, double lr) override;
-
-  /// Batched forward on faulty hardware: imposes the stuck-cell mask ONCE
-  /// per batch and hands the effective matrix to the photonic GEMM path.
-  /// Outputs are bit-identical to a loop of faulted matvecs (the mask is
-  /// frozen per matrix and the inner GEMM is loop-identical); the batch
-  /// additionally amortises bank reprogramming across the block, which is
-  /// what lets FaultyBackend ride the batched serving path.
+  /// Forward on faulty hardware: imposes the stuck-cell mask once per
+  /// call and hands the effective matrix to the photonic GEMM path.
   [[nodiscard]] nn::Matrix matmul(const nn::Matrix& w,
                                   const nn::Matrix& x) override;
-  /// Batched gradient-vector pass with the same once-per-batch mask.
+  /// Gradient-vector pass through the same stuck cells.
   [[nodiscard]] nn::Matrix matmul_transposed(const nn::Matrix& w,
                                              const nn::Matrix& x) override;
+  /// Per-sample in-situ updates; writes to stuck cells are lost.
+  void update_batch(nn::Matrix& w, const nn::Matrix& dh,
+                    const nn::Matrix& y_prev, double lr) override;
 
   [[nodiscard]] const FaultConfig& config() const { return config_; }
   [[nodiscard]] const PhotonicLedger& ledger() const {
@@ -67,10 +59,15 @@ class FaultyBackend final : public nn::MatvecBackend {
   struct Mask {
     std::vector<std::size_t> positions;
     std::vector<double> stuck;
+    /// The matrix as the device realises it.  One buffer per source
+    /// matrix, refilled on every call: its stable address is what the
+    /// inner backend's residency check keys on, so programming is billed
+    /// exactly as it would be for the source matrix itself.
+    nn::Matrix effective;
   };
-  [[nodiscard]] const Mask& mask_for(const nn::Matrix& w);
-  /// Copy of w with the stuck values imposed.
-  [[nodiscard]] nn::Matrix effective(const nn::Matrix& w);
+  [[nodiscard]] Mask& mask_for(const nn::Matrix& w);
+  /// `w` with the stuck values imposed, in its mask's effective buffer.
+  [[nodiscard]] const nn::Matrix& effective(const nn::Matrix& w);
 
   FaultConfig config_;
   PhotonicBackend inner_;

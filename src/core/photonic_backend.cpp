@@ -37,18 +37,14 @@ struct BackendMetrics {
   telemetry::Counter& quantize_passes =
       reg.counter("trident_backend_quantize_passes_total",
                   "input/weight quantization passes over a vector or block");
-  telemetry::Counter& matvec_calls = reg.counter(
-      "trident_backend_matvec_total", "per-sample forward matvec calls");
   telemetry::Counter& matmul_calls = reg.counter(
       "trident_backend_matmul_total", "batched forward matmul calls");
-  telemetry::Counter& matvec_transposed_calls =
-      reg.counter("trident_backend_matvec_transposed_total",
-                  "per-sample gradient-vector calls");
   telemetry::Counter& matmul_transposed_calls =
       reg.counter("trident_backend_matmul_transposed_total",
                   "batched gradient-vector calls");
-  telemetry::Counter& rank1_updates = reg.counter(
-      "trident_backend_rank1_updates_total", "in-situ rank-1 weight updates");
+  telemetry::Counter& insitu_updates =
+      reg.counter("trident_backend_insitu_updates_total",
+                  "per-sample in-situ weight-update steps");
   telemetry::Counter& program_reuse =
       reg.counter("trident_backend_program_reuse_total",
                   "forward calls served by resident non-volatile weights "
@@ -191,58 +187,13 @@ double PhotonicBackend::quantize_weight(double v, double scale) {
   return q * scale;
 }
 
-nn::Vector PhotonicBackend::matvec(const nn::Matrix& w, const nn::Vector& x) {
-  TRIDENT_REQUIRE(x.size() == w.cols(), "matvec dimension mismatch");
-  ensure_programmed(w);
-
-  // Input DAC: hardware range is [-1, 1] after the polarity split, so the
-  // vector is electronically pre-scaled into range and the scale re-applied
+void PhotonicBackend::quantize_inputs(const nn::Matrix& x, nn::Vector& scale,
+                                      nn::Matrix& xq) const {
+  // Input DAC: hardware range is [-1, 1] after the polarity split, so each
+  // sample is electronically pre-scaled into range and the scale re-applied
   // at the TIA.
-  double x_scale = 1.0;
-  for (double v : x) {
-    x_scale = std::max(x_scale, std::abs(v));
-  }
-  nn::Vector xq(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    xq[i] = input_quantizer_.quantize(x[i] / x_scale);
-  }
-
-  nn::Vector y(w.rows(), 0.0);
-  for (std::size_t r = 0; r < w.rows(); ++r) {
-    double acc = 0.0;
-    const auto row = w.row(r);
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      // Stored weights are already on the GST grid (rank1_update keeps the
-      // master copy quantized); clamp defends against externally-set
-      // out-of-range values.
-      acc += std::clamp(row[c], -1.0, 1.0) * xq[c];
-    }
-    if (config_.readout_noise > 0.0) {
-      acc += rng_.normal(0.0, config_.readout_noise);
-    }
-    y[r] = acc * x_scale;
-  }
-
-  ledger_.symbols += 1;
-  ledger_.macs += w.size();
-  ledger_.activations += w.rows();
-  if (telemetry::enabled()) {
-    note_ledger(0, 0, 1, w.size(), w.rows());
-    metrics().matvec_calls.add(1);
-    metrics().quantize_passes.add(1);
-  }
-  return y;
-}
-
-nn::Matrix PhotonicBackend::matmul(const nn::Matrix& w, const nn::Matrix& x) {
-  TRIDENT_REQUIRE(x.cols() == w.cols(), "matmul dimension mismatch");
-  ensure_programmed(w);
-  const std::size_t batch = x.rows();
-
-  // One pass over the block: per-sample DAC range scale, then quantize.
-  nn::Vector scale(batch, 1.0);
-  nn::Matrix xq(batch, w.cols());
-  for (std::size_t b = 0; b < batch; ++b) {
+  xq.reshape(x.rows(), x.cols());
+  for (std::size_t b = 0; b < x.rows(); ++b) {
     const auto row = x.row(b);
     double s = 1.0;
     for (double v : row) {
@@ -254,17 +205,12 @@ nn::Matrix PhotonicBackend::matmul(const nn::Matrix& w, const nn::Matrix& x) {
       q[c] = input_quantizer_.quantize(row[c] / s);
     }
   }
+}
 
-  // Saturate the stored weights once per block instead of once per MAC.
-  nn::Matrix clamped = w;
-  for (double& v : clamped.data()) {
-    v = std::clamp(v, -1.0, 1.0);
-  }
-
-  nn::Matrix y = clamped.matmul(xq);
-  // Read-out noise and TIA re-scaling, in the same draw order as a loop of
-  // matvec calls (per sample, then per row).
-  for (std::size_t b = 0; b < batch; ++b) {
+void PhotonicBackend::noise_and_rescale(nn::Matrix& y,
+                                        const nn::Vector& scale) {
+  // Read-out noise and TIA re-scaling; draws run per sample, then per row.
+  for (std::size_t b = 0; b < y.rows(); ++b) {
     auto yr = y.row(b);
     for (double& v : yr) {
       if (config_.readout_noise > 0.0) {
@@ -273,6 +219,28 @@ nn::Matrix PhotonicBackend::matmul(const nn::Matrix& w, const nn::Matrix& x) {
       v *= scale[b];
     }
   }
+}
+
+nn::Matrix PhotonicBackend::matmul(const nn::Matrix& w, const nn::Matrix& x) {
+  TRIDENT_REQUIRE(x.cols() == w.cols(), "matmul dimension mismatch");
+  ensure_programmed(w);
+  const std::size_t batch = x.rows();
+
+  nn::Vector scale(batch);
+  nn::Matrix xq;
+  quantize_inputs(x, scale, xq);
+
+  // Saturate the stored weights once per block instead of once per MAC:
+  // stored weights are already on the GST grid (update_batch keeps the
+  // master copy quantized); the clamp defends against externally-set
+  // out-of-range values.
+  nn::Matrix clamped = w;
+  for (double& v : clamped.data()) {
+    v = std::clamp(v, -1.0, 1.0);
+  }
+
+  nn::Matrix y = clamped.matmul(xq);
+  noise_and_rescale(y, scale);
 
   ledger_.symbols += batch;
   ledger_.macs += batch * w.size();
@@ -300,19 +268,7 @@ bool PhotonicBackend::run_plan(const nn::ExecutionPlan& plan,
     ensure_programmed(layer.weights);
 
     // Input DAC, same pass as matmul but into arena scratch.
-    xq.reshape(batch, layer.cols);
-    for (std::size_t b = 0; b < batch; ++b) {
-      const auto row = cur->row(b);
-      double s = 1.0;
-      for (double v : row) {
-        s = std::max(s, std::abs(v));
-      }
-      scale[b] = s;
-      auto q = xq.row(b);
-      for (std::size_t c = 0; c < row.size(); ++c) {
-        q[c] = input_quantizer_.quantize(row[c] / s);
-      }
-    }
+    quantize_inputs(*cur, scale, xq);
 
     const bool last = (k == depth - 1);
     nn::Matrix& y = last ? arena.out() : arena.act(k);
@@ -320,17 +276,7 @@ bool PhotonicBackend::run_plan(const nn::ExecutionPlan& plan,
     // The pre-clamped panel replaces the fresh saturated copy matmul makes
     // per call — same values, no allocation.
     layer.clamped.matmul_into(xq, y);
-    // Read-out noise and TIA re-scaling, in the same draw order as matmul
-    // (per sample, then per row).
-    for (std::size_t b = 0; b < batch; ++b) {
-      auto yr = y.row(b);
-      for (double& v : yr) {
-        if (config_.readout_noise > 0.0) {
-          v += rng_.normal(0.0, config_.readout_noise);
-        }
-        v *= scale[b];
-      }
-    }
+    noise_and_rescale(y, scale);
     // Hidden-layer activation as its own whole-buffer pass, mirroring
     // forward_batch: the branch-free loop vectorizes, where folding the
     // activation into the noise/re-scale loop above measurably does not.
@@ -361,8 +307,9 @@ nn::Matrix PhotonicBackend::matmul_transposed(const nn::Matrix& w,
                                               const nn::Matrix& x) {
   TRIDENT_REQUIRE(x.cols() == w.rows(), "transposed matmul dimension mismatch");
   const std::size_t batch = x.rows();
-  // Loop-equivalent accounting: every gradient symbol pair re-encodes the
-  // bank with Wᵀ, exactly as a sequence of matvec_transposed calls would.
+  // The gradient-vector pass re-encodes the bank with Wᵀ (Table II): one
+  // programming event per gradient symbol pair, even though the values are
+  // the same cells transposed, and the forward layout is gone after.
   ledger_.weight_writes += batch * w.size();
   ledger_.program_events += batch;
   if (telemetry::enabled()) {
@@ -370,20 +317,9 @@ nn::Matrix PhotonicBackend::matmul_transposed(const nn::Matrix& w,
   }
   resident_matrix_ = nullptr;
 
-  nn::Vector scale(batch, 1.0);
-  nn::Matrix xq(batch, w.rows());
-  for (std::size_t b = 0; b < batch; ++b) {
-    const auto row = x.row(b);
-    double s = 1.0;
-    for (double v : row) {
-      s = std::max(s, std::abs(v));
-    }
-    scale[b] = s;
-    auto q = xq.row(b);
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      q[c] = input_quantizer_.quantize(row[c] / s);
-    }
-  }
+  nn::Vector scale(batch);
+  nn::Matrix xq;
+  quantize_inputs(x, scale, xq);
 
   nn::Matrix clamped = w;
   for (double& v : clamped.data()) {
@@ -391,16 +327,9 @@ nn::Matrix PhotonicBackend::matmul_transposed(const nn::Matrix& w,
   }
 
   nn::Matrix y = clamped.matmul_transposed(xq);
-  for (std::size_t b = 0; b < batch; ++b) {
-    auto yr = y.row(b);
-    for (double& v : yr) {
-      if (config_.readout_noise > 0.0) {
-        v += rng_.normal(0.0, config_.readout_noise);
-      }
-      v *= scale[b];
-    }
-  }
+  noise_and_rescale(y, scale);
 
+  // Signed gradients stream as two polarity symbols.
   ledger_.symbols += 2 * batch;
   ledger_.macs += batch * w.size();
   if (telemetry::enabled()) {
@@ -411,87 +340,45 @@ nn::Matrix PhotonicBackend::matmul_transposed(const nn::Matrix& w,
   return y;
 }
 
-nn::Vector PhotonicBackend::matvec_transposed(const nn::Matrix& w,
-                                              const nn::Vector& x) {
-  TRIDENT_REQUIRE(x.size() == w.rows(), "transposed matvec dimension mismatch");
-  // The gradient-vector pass re-encodes the bank with Wᵀ (Table II): one
-  // programming event even though the values are the same cells transposed.
-  ledger_.weight_writes += w.size();
-  ledger_.program_events += 1;
-  if (telemetry::enabled()) {
-    note_ledger(w.size(), 1, 0, 0, 0);
-  }
-  resident_matrix_ = nullptr;  // bank no longer holds the forward layout
+void PhotonicBackend::update_batch(nn::Matrix& w, const nn::Matrix& dh,
+                                   const nn::Matrix& y_prev, double lr) {
+  TRIDENT_REQUIRE(dh.rows() == y_prev.rows(), "update batch mismatch");
+  TRIDENT_REQUIRE(dh.cols() == w.rows() && y_prev.cols() == w.cols(),
+                  "update dimension mismatch");
+  for (std::size_t b = 0; b < dh.rows(); ++b) {
+    const auto dhb = dh.row(b);
+    const auto yb = y_prev.row(b);
+    // The outer product δh·yᵀ is computed optically (Table II, third
+    // encoding): charge one symbol per row's modulation pattern.
+    ledger_.symbols += w.rows();
+    ledger_.macs += w.size();
 
-  double x_scale = 1.0;
-  for (double v : x) {
-    x_scale = std::max(x_scale, std::abs(v));
-  }
-  nn::Vector xq(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    xq[i] = input_quantizer_.quantize(x[i] / x_scale);
-  }
-
-  nn::Vector y(w.cols(), 0.0);
-  for (std::size_t r = 0; r < w.rows(); ++r) {
-    const auto row = w.row(r);
-    const double xr = xq[r];
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      y[c] += std::clamp(row[c], -1.0, 1.0) * xr;
-    }
-  }
-  for (double& v : y) {
-    if (config_.readout_noise > 0.0) {
-      v += rng_.normal(0.0, config_.readout_noise);
-    }
-    v *= x_scale;
-  }
-
-  // Signed gradients stream as two polarity symbols.
-  ledger_.symbols += 2;
-  ledger_.macs += w.size();
-  if (telemetry::enabled()) {
-    note_ledger(0, 0, 2, w.size(), 0);
-    metrics().matvec_transposed_calls.add(1);
-    metrics().quantize_passes.add(1);
-  }
-  return y;
-}
-
-void PhotonicBackend::rank1_update(nn::Matrix& w, const nn::Vector& dh,
-                                   const nn::Vector& y_prev, double lr) {
-  TRIDENT_REQUIRE(dh.size() == w.rows() && y_prev.size() == w.cols(),
-                  "rank-1 update dimension mismatch");
-  // The outer product δh·yᵀ is computed optically (Table II, third
-  // encoding): charge one symbol per row's modulation pattern.
-  ledger_.symbols += w.rows();
-  ledger_.macs += w.size();
-
-  // In-situ update: the new value must land on a programmable GST level —
-  // there is no float master copy in the hardware, so updates below half an
-  // LSB are simply lost (the 8-vs-6-bit training cliff).
-  std::uint64_t changed = 0;
-  for (std::size_t r = 0; r < w.rows(); ++r) {
-    auto row = w.row(r);
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      const double target = row[c] - lr * dh[r] * y_prev[c];
-      const double quantized = quantize_weight(target, 1.0);
-      if (quantized != row[c]) {
-        row[c] = quantized;
-        ++changed;
+    // In-situ update: the new value must land on a programmable GST level —
+    // there is no float master copy in the hardware, so updates below half
+    // an LSB are simply lost (the 8-vs-6-bit training cliff).
+    std::uint64_t changed = 0;
+    for (std::size_t r = 0; r < w.rows(); ++r) {
+      auto row = w.row(r);
+      for (std::size_t c = 0; c < row.size(); ++c) {
+        const double target = row[c] - lr * dhb[r] * yb[c];
+        const double quantized = quantize_weight(target, 1.0);
+        if (quantized != row[c]) {
+          row[c] = quantized;
+          ++changed;
+        }
       }
     }
-  }
-  // Only cells whose level actually moved receive a write pulse.
-  ledger_.weight_writes += changed;
-  if (changed > 0) {
-    ledger_.program_events += 1;
-    resident_matrix_ = nullptr;
-  }
-  if (telemetry::enabled()) {
-    note_ledger(changed, changed > 0 ? 1 : 0, w.rows(), w.size(), 0);
-    metrics().rank1_updates.add(1);
-    metrics().quantize_passes.add(1);
+    // Only cells whose level actually moved receive a write pulse.
+    ledger_.weight_writes += changed;
+    if (changed > 0) {
+      ledger_.program_events += 1;
+      resident_matrix_ = nullptr;
+    }
+    if (telemetry::enabled()) {
+      note_ledger(changed, changed > 0 ? 1 : 0, w.rows(), w.size(), 0);
+      metrics().insitu_updates.add(1);
+      metrics().quantize_passes.add(1);
+    }
   }
 }
 

@@ -83,27 +83,22 @@ class PhotonicBackend final : public nn::MatvecBackend {
  public:
   explicit PhotonicBackend(const PhotonicBackendConfig& config = {});
 
-  [[nodiscard]] nn::Vector matvec(const nn::Matrix& w,
-                                  const nn::Vector& x) override;
-  [[nodiscard]] nn::Vector matvec_transposed(const nn::Matrix& w,
-                                             const nn::Vector& x) override;
-  void rank1_update(nn::Matrix& w, const nn::Vector& dh,
-                    const nn::Vector& y_prev, double lr) override;
-
-  /// Batched forward: quantizes the whole input block in one pass, charges
-  /// the ledger once per block, and runs the blocked GEMM kernel.  Outputs,
-  /// noise draws, and ledger counters are bit-identical to a loop of
-  /// per-sample matvec calls.
+  /// Forward: quantizes the whole input block in one pass, charges the
+  /// ledger once per block, and runs the blocked GEMM kernel.  Outputs,
+  /// noise draws, and ledger counters do not depend on how samples are
+  /// split into calls.
   [[nodiscard]] nn::Matrix matmul(const nn::Matrix& w,
                                   const nn::Matrix& x) override;
-  /// Batched gradient-vector pass, loop-equivalent to matvec_transposed per
-  /// sample (including one bank re-encode per sample — the hardware really
-  /// does re-program Wᵀ for each gradient symbol pair, Table II).
+  /// Gradient-vector pass, with one bank re-encode per sample — the
+  /// hardware really does re-program Wᵀ for each gradient symbol pair
+  /// (Table II).
   [[nodiscard]] nn::Matrix matmul_transposed(const nn::Matrix& w,
                                              const nn::Matrix& x) override;
-  // update_batch intentionally keeps the base-class sequential loop: in-situ
-  // GST programming quantizes after every sample, so the batched result is
-  // defined BY the per-sample order.
+  /// In-situ SGD: one optical outer product and one GST programming step
+  /// per sample, in batch order.  Programming quantizes after every
+  /// sample, so the result is defined BY that order.
+  void update_batch(nn::Matrix& w, const nn::Matrix& dh,
+                    const nn::Matrix& y_prev, double lr) override;
 
   /// Fused plan execution: per layer, programs the plan's own weight panel,
   /// quantizes the block into the arena, multiplies against the pre-clamped
@@ -148,6 +143,12 @@ class PhotonicBackend final : public nn::MatvecBackend {
   void ensure_programmed(const nn::Matrix& w);
   /// Quantizes a value to the stored-weight grid at scale `scale`.
   [[nodiscard]] double quantize_weight(double v, double scale);
+  /// Input DAC: per-sample range scale into `scale` (≥ x.rows() entries)
+  /// and the quantized block into `xq` (reshaped to x's shape).
+  void quantize_inputs(const nn::Matrix& x, nn::Vector& scale,
+                       nn::Matrix& xq) const;
+  /// Read-out noise and TIA re-scale, drawn per sample then per row.
+  void noise_and_rescale(nn::Matrix& y, const nn::Vector& scale);
 
   PhotonicBackendConfig config_;
   SymmetricQuantizer weight_quantizer_;

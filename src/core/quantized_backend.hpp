@@ -12,8 +12,9 @@
 //     GEMM kernels (src/nn/int8_gemm) with exact int32 accumulation,
 //     dequantizing to double at every layer boundary.
 //   * matmul & co — the per-op path training and decorated backends (chaos
-//     injection) drive; weight panels are cached by address and guarded by
-//     a content fingerprint.
+//     injection) drive.  Each call re-packs the weight matrix into int8
+//     levels in a reused buffer: one O(rows·cols) pass, no cache to go
+//     stale when hot-swap or in-situ updates rewrite the matrix in place.
 //
 // Ledger accounting mirrors PhotonicBackend call for call — level reads,
 // program events, symbol counts — so energy books and the chaos
@@ -27,7 +28,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "common/quantize.hpp"
@@ -50,31 +51,27 @@ class QuantizedBackend final : public nn::MatvecBackend {
  public:
   explicit QuantizedBackend(const QuantizedBackendConfig& config = {});
 
-  [[nodiscard]] nn::Vector matvec(const nn::Matrix& w,
-                                  const nn::Vector& x) override;
-  [[nodiscard]] nn::Vector matvec_transposed(const nn::Matrix& w,
-                                             const nn::Vector& x) override;
-  /// In-situ SGD step on the weight grid — same deterministic semantics as
-  /// a noise-free PhotonicBackend (sub-LSB updates are lost), and the
-  /// compiled panel for `w` is invalidated.
-  void rank1_update(nn::Matrix& w, const nn::Vector& dh,
-                    const nn::Vector& y_prev, double lr) override;
-
-  /// Batched forward through the blocked int8 GEMM.  Row b is bit-identical
-  /// to matvec(w, x.row(b)): the int32 accumulation is exact (no rounding,
-  /// no order sensitivity) and the per-sample scale multiplies identically.
+  /// Forward through the blocked int8 GEMM.  The int32 accumulation is
+  /// exact (no rounding, no order sensitivity) and the per-sample scale
+  /// multiplies identically, so row b does not depend on the batch it
+  /// rode in.
   [[nodiscard]] nn::Matrix matmul(const nn::Matrix& w,
                                   const nn::Matrix& x) override;
   [[nodiscard]] nn::Matrix matmul_transposed(const nn::Matrix& w,
                                              const nn::Matrix& x) override;
+  /// In-situ SGD step per sample on the weight grid — same deterministic
+  /// semantics as a noise-free PhotonicBackend (sub-LSB updates are lost).
+  void update_batch(nn::Matrix& w, const nn::Matrix& dh,
+                    const nn::Matrix& y_prev, double lr) override;
 
   /// Fused plan execution: streams the plan's pre-packed int8 panels
-  /// through int8_gemm with arena-resident scratch — no per-lookup content
-  /// fingerprint (plan immutability replaces it) and zero steady-state
-  /// heap allocation.  Only taken when the plan's weight grid matches this
-  /// backend's (otherwise the per-op interpreter runs, which re-packs at
-  /// the right grid through plan_for); outputs and ledger counters are
-  /// bit-identical to Mlp::forward_batch through matmul either way.
+  /// through int8_gemm with arena-resident scratch — no per-call re-pack
+  /// (plan immutability makes the panels safe to reuse) and zero
+  /// steady-state heap allocation.  Only taken when the plan's weight grid
+  /// matches this backend's (otherwise the per-op interpreter runs, which
+  /// re-packs at the right grid through matmul); outputs and ledger
+  /// counters are bit-identical to Mlp::forward_batch through matmul either
+  /// way.
   bool run_plan(const nn::ExecutionPlan& plan, const nn::Matrix& x,
                 nn::PlanArena& arena) override;
 
@@ -125,25 +122,25 @@ class QuantizedBackend final : public nn::MatvecBackend {
   }
 
  private:
-  /// Pre-packed int8 level panel of one weight matrix.  Keyed by matrix
-  /// address but guarded by a content fingerprint: weight hot-swap copies
-  /// new values into the SAME buffers (and rank-1 updates mutate them in
-  /// place), so the address alone can go stale — every lookup re-hashes.
-  struct WeightPlan {
-    std::size_t rows = 0;
-    std::size_t cols = 0;
-    std::uint64_t fingerprint = 0;
-    std::vector<std::int8_t> levels;  ///< row-major rows×cols
-  };
-
-  [[nodiscard]] const WeightPlan& plan_for(const nn::Matrix& w);
+  /// Packs `w` into int8 levels in weight_levels_ (reused across calls).
+  [[nodiscard]] const std::vector<std::int8_t>& pack_weights(
+      const nn::Matrix& w);
+  /// Input DAC onto the int8 grid: per-sample range scale into `scale`,
+  /// row-major levels into `xq`; `scaled` is scratch of ≥ x.cols() entries.
+  void quantize_inputs(const nn::Matrix& x, std::span<double> scale,
+                       std::span<double> scaled,
+                       std::span<std::int8_t> xq) const;
+  /// TIA re-scale of exact int32 accumulators into y (already shaped):
+  /// y(b, j) = acc[b·cols + j] · w_step · x_step · scale[b].
+  void rescale(const std::int32_t* acc, std::span<const double> scale,
+               nn::Matrix& y) const;
   void ensure_programmed(const nn::Matrix& w);
 
   QuantizedBackendConfig config_;
   SymmetricQuantizer weight_quantizer_;
   SymmetricQuantizer input_quantizer_;
   PhotonicLedger ledger_;
-  std::unordered_map<const void*, WeightPlan> plans_;
+  std::vector<std::int8_t> weight_levels_;
   const void* resident_matrix_ = nullptr;
 };
 

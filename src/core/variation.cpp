@@ -17,65 +17,67 @@ VariationBackend::VariationBackend(const VariationConfig& config)
                   "weight offset sigma must be in [0, 0.5)");
 }
 
-const std::vector<double>& VariationBackend::gains(const nn::Matrix& w) {
+VariationBackend::Device& VariationBackend::device(const nn::Matrix& w) {
   const void* key = static_cast<const void*>(&w);
-  auto it = gain_maps_.find(key);
-  if (it == gain_maps_.end()) {
-    std::vector<double> g(w.size());
-    for (double& v : g) {
+  auto it = devices_.find(key);
+  if (it == devices_.end()) {
+    Device d;
+    d.gains.resize(w.size());
+    for (double& v : d.gains) {
       v = std::max(0.1, gain_rng_.normal(1.0, config_.gain_sigma));
     }
-    it = gain_maps_.emplace(key, std::move(g)).first;
-    std::vector<double> cell_off(w.size());
-    for (double& v : cell_off) {
+    d.cell_offsets.resize(w.size());
+    for (double& v : d.cell_offsets) {
       v = gain_rng_.normal(0.0, config_.weight_offset_sigma);
     }
-    cell_offsets_.emplace(key, std::move(cell_off));
-    std::vector<double> offsets(w.rows());
-    for (double& v : offsets) {
+    d.row_offsets.resize(w.rows());
+    for (double& v : d.row_offsets) {
       v = gain_rng_.normal(0.0, config_.row_offset_sigma);
     }
-    row_offsets_.emplace(key, std::move(offsets));
+    it = devices_.emplace(key, std::move(d)).first;
   }
   return it->second;
 }
 
-nn::Matrix VariationBackend::effective(const nn::Matrix& w) {
-  const std::vector<double>& g = gains(w);
-  const std::vector<double>& delta = cell_offsets_.at(static_cast<const void*>(&w));
-  nn::Matrix eff(w.rows(), w.cols());
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    eff.data()[i] =
-        std::clamp(std::clamp(w.data()[i], -1.0, 1.0) * g[i] + delta[i],
-                   -1.0, 1.0);
-  }
-  return eff;
+const std::vector<double>& VariationBackend::gains(const nn::Matrix& w) {
+  return device(w).gains;
 }
 
-nn::Vector VariationBackend::matvec(const nn::Matrix& w, const nn::Vector& x) {
-  const nn::Matrix eff = effective(w);
-  nn::Vector y = inner_.matvec(eff, x);
-  const auto& offsets = row_offsets_.at(static_cast<const void*>(&w));
-  for (std::size_t r = 0; r < y.size(); ++r) {
-    y[r] += offsets[r];
+const nn::Matrix& VariationBackend::effective(Device& d, const nn::Matrix& w) {
+  d.effective.reshape(w.rows(), w.cols());
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    d.effective.data()[i] = std::clamp(
+        std::clamp(w.data()[i], -1.0, 1.0) * d.gains[i] + d.cell_offsets[i],
+        -1.0, 1.0);
+  }
+  return d.effective;
+}
+
+nn::Matrix VariationBackend::matmul(const nn::Matrix& w, const nn::Matrix& x) {
+  Device& d = device(w);
+  nn::Matrix y = inner_.matmul(effective(d, w), x);
+  for (std::size_t b = 0; b < y.rows(); ++b) {
+    auto yr = y.row(b);
+    for (std::size_t r = 0; r < yr.size(); ++r) {
+      yr[r] += d.row_offsets[r];
+    }
   }
   return y;
 }
 
-nn::Vector VariationBackend::matvec_transposed(const nn::Matrix& w,
-                                               const nn::Vector& x) {
+nn::Matrix VariationBackend::matmul_transposed(const nn::Matrix& w,
+                                               const nn::Matrix& x) {
   // The backward pass runs through the same physical cells, so it sees the
   // same gains — this is exactly why in-situ gradients compensate
   // variation while offline gradients cannot.
-  const nn::Matrix eff = effective(w);
-  return inner_.matvec_transposed(eff, x);
+  return inner_.matmul_transposed(effective(device(w), w), x);
 }
 
-void VariationBackend::rank1_update(nn::Matrix& w, const nn::Vector& dh,
-                                    const nn::Vector& y_prev, double lr) {
+void VariationBackend::update_batch(nn::Matrix& w, const nn::Matrix& dh,
+                                    const nn::Matrix& y_prev, double lr) {
   // The *stored* levels are updated; their effect on the optics is still
   // filtered through the per-cell gains on the next read.
-  inner_.rank1_update(w, dh, y_prev, lr);
+  inner_.update_batch(w, dh, y_prev, lr);
 }
 
 DeploymentStudy deployment_study(const nn::Dataset& train_set,

@@ -51,12 +51,12 @@ class VariationBackend final : public nn::MatvecBackend {
  public:
   explicit VariationBackend(const VariationConfig& config = {});
 
-  [[nodiscard]] nn::Vector matvec(const nn::Matrix& w,
-                                  const nn::Vector& x) override;
-  [[nodiscard]] nn::Vector matvec_transposed(const nn::Matrix& w,
-                                             const nn::Vector& x) override;
-  void rank1_update(nn::Matrix& w, const nn::Vector& dh,
-                    const nn::Vector& y_prev, double lr) override;
+  [[nodiscard]] nn::Matrix matmul(const nn::Matrix& w,
+                                  const nn::Matrix& x) override;
+  [[nodiscard]] nn::Matrix matmul_transposed(const nn::Matrix& w,
+                                             const nn::Matrix& x) override;
+  void update_batch(nn::Matrix& w, const nn::Matrix& dh,
+                    const nn::Matrix& y_prev, double lr) override;
 
   [[nodiscard]] const PhotonicLedger& ledger() const {
     return inner_.ledger();
@@ -68,15 +68,26 @@ class VariationBackend final : public nn::MatvecBackend {
   [[nodiscard]] const std::vector<double>& gains(const nn::Matrix& w);
 
  private:
-  /// Effective (device-realised) copy of w: clamp(w)·γ + row offsets.
-  [[nodiscard]] nn::Matrix effective(const nn::Matrix& w);
+  /// Frozen fabrication draws of one device array (one weight matrix).
+  struct Device {
+    std::vector<double> gains;
+    std::vector<double> cell_offsets;
+    std::vector<double> row_offsets;
+    /// The matrix as the device realises it.  One buffer per source
+    /// matrix, refilled on every call: its stable address is what the
+    /// inner backend's residency check keys on, so programming is billed
+    /// exactly as it would be for the source matrix itself.
+    nn::Matrix effective;
+  };
+  /// The device array for `w`, drawn the first time the matrix is seen.
+  [[nodiscard]] Device& device(const nn::Matrix& w);
+  /// Refills d.effective with clamp(clamp(w)·γ + δ) and returns it.
+  [[nodiscard]] const nn::Matrix& effective(Device& d, const nn::Matrix& w);
 
   VariationConfig config_;
   PhotonicBackend inner_;
   Rng gain_rng_;
-  std::unordered_map<const void*, std::vector<double>> gain_maps_;
-  std::unordered_map<const void*, std::vector<double>> cell_offsets_;
-  std::unordered_map<const void*, std::vector<double>> row_offsets_;
+  std::unordered_map<const void*, Device> devices_;
 };
 
 /// Result of the offline-vs-in-situ deployment experiment.

@@ -307,7 +307,7 @@ Vector SmallCnn::predict(const FeatureMap& image,
   auto [p1, pc1] = pool1_.forward(a1);
   auto [a2, c2] = conv2_.forward(p1, config_.activation, backend);
   auto [p2, pc2] = pool2_.forward(a2);
-  return backend.matvec(fc_, p2.data);
+  return std::move(backend.matmul(fc_, as_row(p2.data)).data());
 }
 
 double SmallCnn::train_step(const FeatureMap& image, int label,
@@ -320,16 +320,18 @@ double SmallCnn::train_step(const FeatureMap& image, int label,
   auto [p1, pc1] = pool1_.forward(a1);
   auto [a2, c2] = conv2_.forward(p1, config_.activation, backend);
   auto [p2, pc2] = pool2_.forward(a2);
-  const Vector logits = backend.matvec(fc_, p2.data);
+  const Matrix flat = as_row(p2.data);
+  const Matrix logits = backend.matmul(fc_, flat);
 
-  const LossGrad lg = softmax_cross_entropy(logits, label);
+  const LossGrad lg = softmax_cross_entropy(logits.data(), label);
 
   // Dense layer: propagate first, then update (Eqs. 2-3 ordering).
-  const Vector grad_flat = backend.matvec_transposed(fc_, lg.grad);
-  backend.rank1_update(fc_, lg.grad, p2.data, learning_rate);
+  const Matrix grad = as_row(lg.grad);
+  Matrix grad_flat = backend.matmul_transposed(fc_, grad);
+  backend.update_batch(fc_, grad, flat, learning_rate);
 
   FeatureMap grad_p2(p2.height, p2.width, p2.channels);
-  grad_p2.data = grad_flat;
+  grad_p2.data = std::move(grad_flat.data());
   const FeatureMap grad_a2 = pool2_.backward(pc2, grad_p2);
   const FeatureMap grad_p1 = conv2_.backward(c2, grad_a2, config_.activation,
                                              learning_rate, backend);
@@ -350,7 +352,7 @@ SmallCnn::TraceState SmallCnn::forward_trace(const FeatureMap& image,
   state.conv2_cache = std::move(c2);
   auto [p2, pc2] = pool2_.forward(a2);
   state.pool2_cache = std::move(pc2);
-  state.logits = backend.matvec(fc_, p2.data);
+  state.logits = std::move(backend.matmul(fc_, as_row(p2.data)).data());
   state.pooled2 = std::move(p2);
   return state;
 }

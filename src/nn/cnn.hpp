@@ -5,7 +5,7 @@
 // through a MatvecBackend — so the same network runs on exact float
 // arithmetic or on the quantized/noisy photonic model, forward and
 // backward.  Convolution is expressed as im2col columns hitting the
-// backend's matvec, which is exactly how the Trident PE sees a conv layer
+// backend's matmul, which is exactly how the Trident PE sees a conv layer
 // (§IV: weight-stationary, one column per spatial position).
 #pragma once
 
@@ -114,8 +114,9 @@ class MaxPool2D {
 };
 
 /// A small conv-pool-conv-pool-dense classifier for functional studies:
-/// every matvec / rank-1 update goes through the supplied backend, so the
-/// whole CNN can train in-situ on the photonic model.
+/// every forward, gradient and weight update goes through the supplied
+/// backend (the dense head as one-row batches), so the whole CNN can train
+/// in-situ on the photonic model.
 class SmallCnn {
  public:
   struct Config {

@@ -36,8 +36,8 @@ double dfa_step(Mlp& net, const DfaFeedback& feedback, const Vector& x,
 
   // Output layer: true gradient, as in [9].
   const auto last = static_cast<std::size_t>(net.depth() - 1);
-  backend.rank1_update(net.weight(static_cast<int>(last)), lg.grad,
-                       trace.activations[last], learning_rate);
+  backend.update_batch(net.weight(static_cast<int>(last)), as_row(lg.grad),
+                       as_row(trace.activations[last]), learning_rate);
 
   // Hidden layers: δh_k = (B_k e) ⊙ f'(h_k), no weight transport.
   for (int k = 0; k < net.depth() - 1; ++k) {
@@ -46,8 +46,8 @@ double dfa_step(Mlp& net, const DfaFeedback& feedback, const Vector& x,
     for (std::size_t i = 0; i < dh.size(); ++i) {
       dh[i] *= activation_derivative(net.hidden_activation(), h[i]);
     }
-    backend.rank1_update(net.weight(k), dh,
-                         trace.activations[static_cast<std::size_t>(k)],
+    backend.update_batch(net.weight(k), as_row(dh),
+                         as_row(trace.activations[static_cast<std::size_t>(k)]),
                          learning_rate);
   }
   return lg.loss;
@@ -123,7 +123,8 @@ double dfa_cnn_step(SmallCnn& net, const CnnDfaFeedback& feedback,
   const LossGrad lg = softmax_cross_entropy(state.logits, label);
 
   // Dense head: true gradient.
-  backend.rank1_update(net.fc(), lg.grad, state.pooled2.data, learning_rate);
+  backend.update_batch(net.fc(), as_row(lg.grad), as_row(state.pooled2.data),
+                       learning_rate);
 
   const Activation act = net.config().activation;
 

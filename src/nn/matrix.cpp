@@ -447,6 +447,12 @@ double Matrix::max_abs() const {
   return m;
 }
 
+Matrix as_row(const Vector& v) {
+  Matrix m(1, v.size());
+  std::copy(v.begin(), v.end(), m.data().begin());
+  return m;
+}
+
 Vector hadamard(const Vector& a, const Vector& b) {
   TRIDENT_REQUIRE(a.size() == b.size(), "hadamard dimension mismatch");
   Vector out(a.size());

@@ -114,6 +114,11 @@ class Matrix {
   std::vector<double> data_;
 };
 
+/// One-row Matrix holding `v`: a single sample as a batch of one, the form
+/// every MatvecBackend primitive takes.  A one-row result's data() is the
+/// sample's output vector.
+[[nodiscard]] Matrix as_row(const Vector& v);
+
 /// Element-wise (Hadamard) product.
 [[nodiscard]] Vector hadamard(const Vector& a, const Vector& b);
 

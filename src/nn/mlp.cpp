@@ -13,93 +13,14 @@ namespace trident::nn {
 
 namespace {
 
-/// Span name for one layer of a forward/backward pass ("mlp/forward/L2").
-/// Only called when telemetry is enabled — the string is never built on the
-/// disabled path.
+/// Span name for one layer of a forward/backward pass
+/// ("mlp/forward_batch/L2").  Only called when telemetry is enabled — the
+/// string is never built on the disabled path.
 [[nodiscard]] std::string layer_span_name(const char* pass, int layer) {
   return std::string("mlp/") + pass + "/L" + std::to_string(layer);
 }
 
 }  // namespace
-
-void MatvecBackend::matvec_into(const Matrix& w, const Vector& x, Vector& y) {
-  y = matvec(w, x);
-}
-
-void MatvecBackend::matvec_transposed_into(const Matrix& w, const Vector& x,
-                                           Vector& y) {
-  y = matvec_transposed(w, x);
-}
-
-Matrix MatvecBackend::matmul(const Matrix& w, const Matrix& x) {
-  TRIDENT_REQUIRE(x.cols() == w.cols(), "matmul dimension mismatch");
-  Matrix y(x.rows(), w.rows());
-  // Both scratch vectors are hoisted out of the sample loop, and the output
-  // goes through matvec_into so backends with an in-place override allocate
-  // nothing per sample (the matvec_into base delegates to matvec, keeping
-  // per-sample semantics — noise draws, ledger order — unchanged).
-  Vector xb(w.cols());
-  Vector yb(w.rows());
-  for (std::size_t b = 0; b < x.rows(); ++b) {
-    const auto row = x.row(b);
-    std::copy(row.begin(), row.end(), xb.begin());
-    matvec_into(w, xb, yb);
-    std::copy(yb.begin(), yb.end(), y.row(b).begin());
-  }
-  return y;
-}
-
-Matrix MatvecBackend::matmul_transposed(const Matrix& w, const Matrix& x) {
-  TRIDENT_REQUIRE(x.cols() == w.rows(), "transposed matmul dimension mismatch");
-  Matrix y(x.rows(), w.cols());
-  Vector xb(w.rows());
-  Vector yb(w.cols());
-  for (std::size_t b = 0; b < x.rows(); ++b) {
-    const auto row = x.row(b);
-    std::copy(row.begin(), row.end(), xb.begin());
-    matvec_transposed_into(w, xb, yb);
-    std::copy(yb.begin(), yb.end(), y.row(b).begin());
-  }
-  return y;
-}
-
-void MatvecBackend::update_batch(Matrix& w, const Matrix& dh,
-                                 const Matrix& y_prev, double lr) {
-  TRIDENT_REQUIRE(dh.rows() == y_prev.rows(), "update batch mismatch");
-  TRIDENT_REQUIRE(dh.cols() == w.rows() && y_prev.cols() == w.cols(),
-                  "update dimension mismatch");
-  Vector dhb(w.rows());
-  Vector yb(w.cols());
-  for (std::size_t b = 0; b < dh.rows(); ++b) {
-    const auto dhr = dh.row(b);
-    const auto yr = y_prev.row(b);
-    std::copy(dhr.begin(), dhr.end(), dhb.begin());
-    std::copy(yr.begin(), yr.end(), yb.begin());
-    rank1_update(w, dhb, yb, lr);
-  }
-}
-
-Vector FloatBackend::matvec(const Matrix& w, const Vector& x) {
-  return w.matvec(x);
-}
-
-Vector FloatBackend::matvec_transposed(const Matrix& w, const Vector& x) {
-  return w.matvec_transposed(x);
-}
-
-void FloatBackend::rank1_update(Matrix& w, const Vector& dh,
-                                const Vector& y_prev, double lr) {
-  w.add_outer(dh, y_prev, -lr);
-}
-
-void FloatBackend::matvec_into(const Matrix& w, const Vector& x, Vector& y) {
-  w.matvec_into(x, y);
-}
-
-void FloatBackend::matvec_transposed_into(const Matrix& w, const Vector& x,
-                                          Vector& y) {
-  w.matvec_transposed_into(x, y);
-}
 
 Matrix FloatBackend::matmul(const Matrix& w, const Matrix& x) {
   return w.matmul(x);
@@ -139,30 +60,13 @@ Matrix& Mlp::weight(int k) {
 }
 
 ForwardTrace Mlp::forward(const Vector& x, MatvecBackend& backend) const {
-  TRIDENT_REQUIRE(static_cast<int>(x.size()) == sizes_.front(),
-                  "input size mismatch");
+  BatchForwardTrace batch = forward_batch(as_row(x), backend);
   ForwardTrace trace;
-  trace.activations.reserve(static_cast<std::size_t>(depth()) + 1);
-  trace.logits.reserve(static_cast<std::size_t>(depth()));
-  trace.activations.push_back(x);
-  for (int k = 0; k < depth(); ++k) {
-    std::optional<telemetry::Span> span;
-    if (telemetry::enabled()) {
-      span.emplace(layer_span_name("forward", k), "nn");
-    }
-    // Activations and logits are filled in place inside the trace — the
-    // training loop allocates nothing per layer beyond the trace itself.
-    trace.logits.emplace_back();
-    Vector& h = trace.logits.back();
-    backend.matvec_into(weights_[static_cast<std::size_t>(k)],
-                        trace.activations.back(), h);
-    const bool is_output = (k == depth() - 1);
-    const Activation act = is_output ? Activation::kIdentity : hidden_;
-    trace.activations.emplace_back(h.size());
-    Vector& y = trace.activations.back();
-    for (std::size_t i = 0; i < h.size(); ++i) {
-      y[i] = apply_activation(act, h[i]);
-    }
+  for (Matrix& y : batch.activations) {
+    trace.activations.push_back(std::move(y.data()));
+  }
+  for (Matrix& h : batch.logits) {
+    trace.logits.push_back(std::move(h.data()));
   }
   return trace;
 }
@@ -196,44 +100,14 @@ BatchForwardTrace Mlp::forward_batch(const Matrix& x,
 
 void Mlp::backward(const ForwardTrace& trace, const Vector& output_grad,
                    double learning_rate, MatvecBackend& backend) {
-  TRIDENT_REQUIRE(static_cast<int>(trace.logits.size()) == depth(),
-                  "trace does not match network depth");
-  TRIDENT_REQUIRE(output_grad.size() == trace.logits.back().size(),
-                  "output gradient size mismatch");
-
-  // δh for the (linear) output layer is the loss gradient itself.  The two
-  // gradient buffers are swapped between layers instead of reallocated.
-  Vector dh = output_grad;
-  Vector upstream;
-  Vector deriv;
-  for (int k = depth() - 1; k >= 0; --k) {
-    std::optional<telemetry::Span> span;
-    if (telemetry::enabled()) {
-      span.emplace(layer_span_name("backward", k), "nn");
-    }
-    const auto uk = static_cast<std::size_t>(k);
-    const Vector& y_prev = trace.activations[uk];
-
-    // Weight update first (Eq. 2 needs this layer's δh and y_{k-1}), then
-    // propagate δh to the previous layer using the *pre-update* weights —
-    // matching standard backprop semantics, we compute the propagation
-    // before applying the rank-1 update.
-    if (k > 0) {
-      // Eq. 3: δh_{k-1} = (W_kᵀ · δh_k) ⊙ f'(h_{k-1})
-      backend.matvec_transposed_into(weights_[uk], dh, upstream);
-      const Vector& h_prev = trace.logits[uk - 1];
-      deriv.resize(h_prev.size());
-      for (std::size_t i = 0; i < h_prev.size(); ++i) {
-        deriv[i] = activation_derivative(hidden_, h_prev[i]);
-      }
-      hadamard_into(deriv, upstream);
-    }
-
-    // Eqs. 1-2: W_k ← W_k − β · δh_k · y_{k-1}ᵀ.
-    backend.rank1_update(weights_[uk], dh, y_prev, learning_rate);
-
-    std::swap(dh, upstream);
+  BatchForwardTrace batch;
+  for (const Vector& y : trace.activations) {
+    batch.activations.push_back(as_row(y));
   }
+  for (const Vector& h : trace.logits) {
+    batch.logits.push_back(as_row(h));
+  }
+  backward_batch(batch, as_row(output_grad), learning_rate, backend);
 }
 
 void Mlp::backward_batch(const BatchForwardTrace& trace,

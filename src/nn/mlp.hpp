@@ -68,11 +68,11 @@ class PlanArena;      // nn/plan.hpp: per-replica scratch for Plan runs
 /// Linear-primitive backend.  Implementations may quantize, add noise, and
 /// keep energy/latency accounts.
 ///
-/// The batched entry points carry a whole symbol block through the same
-/// primitives (rows of the batch Matrix are samples).  The base-class
-/// defaults simply loop the per-sample virtuals, so every backend gets
-/// bit-identical batched semantics for free; backends override them to
-/// amortise quantization, bookkeeping, and memory traffic per block.
+/// Every primitive is batched: rows of the batch Matrix are samples, and a
+/// single sample is a one-row Matrix (see as_row).  Row b of any result is
+/// what that sample alone would have produced — outputs, noise draws, and
+/// ledger counters are invariant to how a stream of samples is split into
+/// calls (batch-size invariance is part of every backend's contract).
 ///
 /// Failure contract (what the serving runtime relies on): a backend that
 /// hits a *transient* fault (a glitched read, a chaos-injected error)
@@ -87,38 +87,22 @@ class PlanArena;      // nn/plan.hpp: per-replica scratch for Plan runs
 class MatvecBackend {
  public:
   virtual ~MatvecBackend() = default;
-  /// y = W x
-  [[nodiscard]] virtual Vector matvec(const Matrix& w, const Vector& x) = 0;
-  /// y = Wᵀ x
-  [[nodiscard]] virtual Vector matvec_transposed(const Matrix& w,
-                                                 const Vector& x) = 0;
-  /// W ← W − lr · (δh · yᵀ): the weight-update outer product (Eqs. 1-2).
-  virtual void rank1_update(Matrix& w, const Vector& dh, const Vector& y_prev,
-                            double lr) = 0;
-
-  /// In-place y = W x (reuses y's storage; default delegates to matvec).
-  virtual void matvec_into(const Matrix& w, const Vector& x, Vector& y);
-  /// In-place y = Wᵀ x.
-  virtual void matvec_transposed_into(const Matrix& w, const Vector& x,
-                                      Vector& y);
-  /// Batched forward: x is (batch × cols); returns (batch × rows) with row b
-  /// equal to matvec(w, x.row(b)), including any noise/ledger side effects in
-  /// batch order.
-  [[nodiscard]] virtual Matrix matmul(const Matrix& w, const Matrix& x);
-  /// Batched gradient-vector pass: x is (batch × rows); returns
-  /// (batch × cols), loop-equivalent to matvec_transposed per sample.
+  /// Forward: x is (batch × cols); returns (batch × rows), row b = W·x_b.
+  [[nodiscard]] virtual Matrix matmul(const Matrix& w, const Matrix& x) = 0;
+  /// Gradient-vector pass: x is (batch × rows); returns (batch × cols),
+  /// row b = Wᵀ·x_b.
   [[nodiscard]] virtual Matrix matmul_transposed(const Matrix& w,
-                                                 const Matrix& x);
-  /// Batched weight update: applies rank1_update once per sample in batch
-  /// order (in-situ hardware programs sequentially, so the quantized result
-  /// depends on the order — the default loop IS the semantics).
+                                                 const Matrix& x) = 0;
+  /// Weight update W ← W − lr · δh_b · y_bᵀ (Eqs. 1-2), applied once per
+  /// sample in batch order (in-situ hardware programs sequentially, so a
+  /// quantizing backend's result depends on that order).
   virtual void update_batch(Matrix& w, const Matrix& dh, const Matrix& y_prev,
-                            double lr);
+                            double lr) = 0;
 
   /// Fused whole-model execution of a compiled ExecutionPlan (nn/plan.hpp):
   /// runs every layer of `plan` on `x` (batch × input), leaving the output
   /// logits in `arena.out()`, with outputs, RNG draws, and ledger counters
-  /// bit-identical to forward_batch through the per-op entry points above.
+  /// bit-identical to forward_batch through the primitives above.
   /// Returns false when this backend has no fused path for `plan` (the base
   /// default) — the caller then interprets the plan per-op instead, so
   /// decorated/custom backends keep their exact call sequence.
@@ -129,14 +113,6 @@ class MatvecBackend {
 /// Exact double-precision backend (the digital reference).
 class FloatBackend final : public MatvecBackend {
  public:
-  [[nodiscard]] Vector matvec(const Matrix& w, const Vector& x) override;
-  [[nodiscard]] Vector matvec_transposed(const Matrix& w,
-                                         const Vector& x) override;
-  void rank1_update(Matrix& w, const Vector& dh, const Vector& y_prev,
-                    double lr) override;
-  void matvec_into(const Matrix& w, const Vector& x, Vector& y) override;
-  void matvec_transposed_into(const Matrix& w, const Vector& x,
-                              Vector& y) override;
   [[nodiscard]] Matrix matmul(const Matrix& w, const Matrix& x) override;
   [[nodiscard]] Matrix matmul_transposed(const Matrix& w,
                                          const Matrix& x) override;
@@ -177,18 +153,19 @@ class Mlp {
   [[nodiscard]] const Matrix& weight(int k) const;
   [[nodiscard]] Matrix& weight(int k);
 
-  /// Forward pass through `backend`.
+  /// Single-sample forward pass: forward_batch on a one-row batch.
   [[nodiscard]] ForwardTrace forward(const Vector& x,
                                      MatvecBackend& backend) const;
 
-  /// Backward pass: given dL/d(output logits), computes δh_k for every layer
-  /// (Eq. 3) and applies the SGD update (Eqs. 1-2) through `backend`.
+  /// Single-sample backward pass: given dL/d(output logits), computes δh_k
+  /// for every layer (Eq. 3) and applies the SGD update (Eqs. 1-2) through
+  /// `backend` — backward_batch on a one-row batch.
   void backward(const ForwardTrace& trace, const Vector& output_grad,
                 double learning_rate, MatvecBackend& backend);
 
   /// Batched forward pass: x is (batch × input); whole symbol blocks stream
-  /// through the backend's batched primitives.  Row b of every trace entry
-  /// is bit-identical to forward(x.row(b)) under the same weights.
+  /// through the backend's primitives.  Row b of every trace entry is
+  /// bit-identical to forward(x.row(b)) under the same weights.
   [[nodiscard]] BatchForwardTrace forward_batch(const Matrix& x,
                                                 MatvecBackend& backend) const;
 

@@ -99,7 +99,7 @@ ExecutionPlan::ExecutionPlan(const Mlp& model, const PlanConfig& config)
       }
       layer.norm_inf = std::max(layer.norm_inf, l1);
     }
-    // Quantized panel: same packing as QuantizedBackend::plan_for
+    // Quantized panel: same packing as QuantizedBackend::matmul
     // (to_level saturates outside [-1, 1], which doubles as the clamp).
     layer.levels.resize(layer.weights.size());
     wq.to_levels(layer.weights.data(), layer.levels);

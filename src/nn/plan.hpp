@@ -9,10 +9,10 @@
 //     layer (hidden activation for k < depth-1, identity for the output —
 //     the LDSU firing pattern);
 //   * pre-packed weight panels: the double panel (the exact tier), the
-//     [-1, 1]-saturated panel the photonic tier multiplies with (legacy
+//     [-1, 1]-saturated panel the photonic tier multiplies with (per-op
 //     matmul re-clamps a fresh copy per call), and the int8 level panel
-//     the quantized tier streams through int8_gemm (legacy re-fingerprints
-//     the weight buffer on every lookup);
+//     the quantized tier streams through int8_gemm (per-op matmul re-packs
+//     the weight buffer on every call);
 //   * arena extents, so a PlanArena sized once at adoption serves every
 //     later batch with zero steady-state heap allocation.
 //

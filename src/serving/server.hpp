@@ -13,8 +13,8 @@
 // Batching exploits the amortised-ledger GEMM path directly: a batch of B
 // requests pays input quantization and bookkeeping once per block instead
 // of once per request, and the blocked kernels keep the weight row in
-// cache across samples.  Because the backend's matmul is bit-identical to
-// a loop of per-sample matvecs, a noise-free server produces outputs
+// cache across samples.  Because every backend's matmul is invariant to
+// how samples are split into calls, a noise-free server produces outputs
 // bit-identical to the sequential per-request path regardless of how
 // requests were grouped into batches — the property the end-to-end test
 // pins down.

@@ -200,7 +200,8 @@ TEST(ChaosBackend, UpdatePrimitivesSkipOutputCorruption) {
   auto log = std::make_shared<InjectionLog>();
   auto chaos = make_chaos(cfg, 7, log);
   nn::Matrix w(4, 4, 0.3);
-  chaos->rank1_update(w, nn::Vector(4, 0.1), nn::Vector(4, 0.1), 0.01);
+  const nn::Matrix v(1, 4, 0.1);
+  chaos->update_batch(w, v, v, 0.01);
   for (std::size_t i = 0; i < w.size(); ++i) {
     EXPECT_TRUE(std::isfinite(w.data()[i]));
   }

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.hpp"
+#include "core/variation.hpp"
+#include "nn/mlp.hpp"
 
 namespace trident::core {
 namespace {
@@ -23,8 +27,8 @@ TEST(FaultyBackend, ZeroRateMatchesPhotonicBackend) {
   PhotonicBackend plain;
   nn::Matrix w(4, 4, 0.3);
   const nn::Vector x{0.1, 0.5, 0.9, 0.2};
-  const nn::Vector a = faulty.matvec(w, x);
-  const nn::Vector b = plain.matvec(w, x);
+  const nn::Vector a = faulty.matmul(w, nn::as_row(x)).data();
+  const nn::Vector b = plain.matmul(w, nn::as_row(x)).data();
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i], b[i]);
   }
@@ -50,7 +54,8 @@ TEST(FaultyBackend, StuckCellsDominateTheirOutputs) {
   cfg.seed = 3;
   FaultyBackend backend(cfg);
   nn::Matrix w(4, 4, 0.0);  // all-zero weights: any signal is fault-borne
-  const nn::Vector y = backend.matvec(w, {1.0, 1.0, 1.0, 1.0});
+  const nn::Vector y =
+      backend.matmul(w, nn::as_row({1.0, 1.0, 1.0, 1.0})).data();
   double magnitude = 0.0;
   for (double v : y) {
     magnitude += std::abs(v);
@@ -67,10 +72,11 @@ TEST(FaultyBackend, UpdatesToDeadCellsAreLost) {
   const std::size_t faults = backend.fault_count(w);
   ASSERT_GT(faults, 0u);
   // A big update everywhere...
-  backend.rank1_update(w, nn::Vector(6, 1.0), nn::Vector(6, 1.0), 0.5);
+  const nn::Matrix ones(1, 6, 1.0);
+  backend.update_batch(w, ones, ones, 0.5);
   // ...but the dead cells still read their stuck values.
   const nn::Matrix before = w;
-  backend.rank1_update(w, nn::Vector(6, 1.0), nn::Vector(6, 1.0), 0.5);
+  backend.update_batch(w, ones, ones, 0.5);
   std::size_t unchanged = 0;
   for (std::size_t i = 0; i < w.size(); ++i) {
     if (w.data()[i] == before.data()[i] &&
@@ -82,19 +88,17 @@ TEST(FaultyBackend, UpdatesToDeadCellsAreLost) {
 }
 
 TEST(FaultyBackend, BatchedMatmulBitIdenticalToFaultedMatvecLoop) {
-  // Three instances with the same config draw the same frozen mask for the
+  // Two instances with the same config draw the same frozen mask for the
   // same matrix object (the mask RNG is seeded by config, keyed by matrix
   // address), so each can exercise one path without sharing RNG state:
-  // the matmul override, the inherited base-class loop default, and an
-  // explicit per-sample matvec loop must agree bit-for-bit at every batch
-  // size — while the override programs the bank at most as often as the
-  // loop (that amortisation is the point of overriding).
+  // one batched matmul and a loop of one-row matmuls must agree
+  // bit-for-bit at every batch size — while the batch programs the bank at
+  // most as often as the loop (that amortisation is the point of batching).
   for (const std::size_t batch : {1u, 2u, 3u, 5u, 8u}) {
     FaultConfig cfg;
     cfg.fault_rate = 0.2;
     cfg.seed = 11;
     FaultyBackend override_backend(cfg);
-    FaultyBackend inherited_backend(cfg);
     FaultyBackend loop_backend(cfg);
 
     nn::Matrix w(6, 8, 0.0);
@@ -108,19 +112,15 @@ TEST(FaultyBackend, BatchedMatmulBitIdenticalToFaultedMatvecLoop) {
     ASSERT_GT(override_backend.fault_count(w), 0u);
 
     const nn::Matrix batched = override_backend.matmul(w, x);
-    const nn::Matrix inherited =
-        inherited_backend.nn::MatvecBackend::matmul(w, x);
     ASSERT_EQ(batched.rows(), batch);
-    ASSERT_EQ(inherited.rows(), batch);
+    nn::Matrix xb(1, x.cols());
     for (std::size_t b = 0; b < batch; ++b) {
       const auto xrow = x.row(b);
-      const nn::Vector per_sample =
-          loop_backend.matvec(w, nn::Vector(xrow.begin(), xrow.end()));
+      std::copy(xrow.begin(), xrow.end(), xb.data().begin());
+      const nn::Vector per_sample = loop_backend.matmul(w, xb).data();
       ASSERT_EQ(per_sample.size(), batched.cols());
       for (std::size_t j = 0; j < per_sample.size(); ++j) {
         EXPECT_EQ(batched.row(b)[j], per_sample[j])
-            << "batch " << batch << " row " << b << " component " << j;
-        EXPECT_EQ(inherited.row(b)[j], per_sample[j])
             << "batch " << batch << " row " << b << " component " << j;
       }
     }
@@ -145,15 +145,59 @@ TEST(FaultyBackend, BatchedTransposedBitIdenticalToLoop) {
     dh.data()[i] = 0.4 - 0.01 * static_cast<double>(i);
   }
   const nn::Matrix out = batched_backend.matmul_transposed(w, dh);
+  nn::Matrix dhb(1, dh.cols());
   for (std::size_t b = 0; b < dh.rows(); ++b) {
     const auto row = dh.row(b);
-    const nn::Vector per_sample = loop_backend.matvec_transposed(
-        w, nn::Vector(row.begin(), row.end()));
+    std::copy(row.begin(), row.end(), dhb.data().begin());
+    const nn::Vector per_sample = loop_backend.matmul_transposed(w, dhb).data();
     ASSERT_EQ(per_sample.size(), out.cols());
     for (std::size_t j = 0; j < per_sample.size(); ++j) {
       EXPECT_EQ(out.row(b)[j], per_sample[j]) << "row " << b << " col " << j;
     }
   }
+}
+
+TEST(DecoratorBilling, ZeroFaultAndZeroSigmaLedgersMatchPhotonicBackend) {
+  // A decorator hands its inner PhotonicBackend the device-realised copy of
+  // each weight matrix.  With no faults and no variation that copy equals
+  // the source, so the bill must equal PhotonicBackend's own for the same
+  // call sequence: one program burst whenever the bank switches layers,
+  // however many times the copy is refilled.
+  FaultConfig no_faults;
+  no_faults.fault_rate = 0.0;
+  VariationConfig no_variation;
+  no_variation.gain_sigma = 0.0;
+  PhotonicBackend plain;
+  FaultyBackend faulty(no_faults);
+  VariationBackend varied(no_variation);
+
+  Rng init(5);
+  const nn::Mlp model({8, 12, 6, 4}, nn::Activation::kReLU, init);
+  nn::Matrix x(3, 8);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x.data()[i] = 0.9 - 0.04 * static_cast<double>(i);
+  }
+  const nn::Vector sample(x.row(0).begin(), x.row(0).end());
+  nn::Matrix grad(3, 4);
+  for (std::size_t i = 0; i < grad.size(); ++i) {
+    grad.data()[i] = 0.3 - 0.05 * static_cast<double>(i);
+  }
+  auto drive = [&](nn::MatvecBackend& backend) {
+    nn::Mlp net = model;
+    for (int i = 0; i < 3; ++i) {
+      (void)net.forward_batch(x, backend);
+      (void)net.forward(sample, backend);
+    }
+    const nn::BatchForwardTrace trace = net.forward_batch(x, backend);
+    net.backward_batch(trace, grad, 0.05, backend);
+    (void)net.forward_batch(x, backend);
+  };
+  drive(plain);
+  drive(faulty);
+  drive(varied);
+  EXPECT_GE(plain.ledger().program_events, 18u);
+  EXPECT_EQ(faulty.ledger(), plain.ledger());
+  EXPECT_EQ(varied.ledger(), plain.ledger());
 }
 
 TEST(FaultyBackend, RejectsBadConfig) {

@@ -330,68 +330,5 @@ TEST(Activation, UnknownEnumeratorThrowsInsteadOfFallingThrough) {
   EXPECT_THROW((void)activation_derivative(bogus, 0.5), Error);
 }
 
-/// Implements only the per-sample pure virtuals — the base-class batched
-/// defaults supply matmul/matmul_transposed.  Pins the hoisted-scratch
-/// fallback (one Vector reused across samples) to the plain per-row loop
-/// it replaced, bit for bit.
-class PerSampleOnlyBackend final : public MatvecBackend {
- public:
-  [[nodiscard]] Vector matvec(const Matrix& w, const Vector& x) override {
-    return w.matvec(x);
-  }
-  [[nodiscard]] Vector matvec_transposed(const Matrix& w,
-                                         const Vector& x) override {
-    return w.matvec_transposed(x);
-  }
-  void rank1_update(Matrix& w, const Vector& dh, const Vector& y_prev,
-                    double lr) override {
-    for (std::size_t r = 0; r < w.rows(); ++r) {
-      for (std::size_t c = 0; c < w.cols(); ++c) {
-        w.at(r, c) -= lr * dh[r] * y_prev[c];
-      }
-    }
-  }
-};
-
-TEST(MatvecBackend, BaseMatmulFallbackMatchesPerRowLoop) {
-  Rng rng(0x5C2Au);
-  Matrix w(7, 11);
-  for (double& v : w.data()) {
-    v = rng.uniform(-1.0, 1.0);
-  }
-  Matrix x(5, 11);
-  for (double& v : x.data()) {
-    v = rng.uniform(-2.0, 2.0);
-  }
-  PerSampleOnlyBackend backend;
-  const Matrix y = backend.matmul(w, x);
-  ASSERT_EQ(y.rows(), 5u);
-  ASSERT_EQ(y.cols(), 7u);
-  for (std::size_t b = 0; b < x.rows(); ++b) {
-    Vector row(x.cols());
-    std::copy(x.row(b).begin(), x.row(b).end(), row.begin());
-    const Vector want = backend.matvec(w, row);
-    for (std::size_t r = 0; r < want.size(); ++r) {
-      EXPECT_EQ(y.at(b, r), want[r]) << "sample " << b << " row " << r;
-    }
-  }
-
-  Matrix g(4, 7);
-  for (double& v : g.data()) {
-    v = rng.uniform(-1.0, 1.0);
-  }
-  const Matrix yt = backend.matmul_transposed(w, g);
-  ASSERT_EQ(yt.rows(), 4u);
-  ASSERT_EQ(yt.cols(), 11u);
-  for (std::size_t b = 0; b < g.rows(); ++b) {
-    Vector row(g.cols());
-    std::copy(g.row(b).begin(), g.row(b).end(), row.begin());
-    const Vector want = backend.matvec_transposed(w, row);
-    for (std::size_t c = 0; c < want.size(); ++c) {
-      EXPECT_EQ(yt.at(b, c), want[c]) << "sample " << b << " col " << c;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace trident::nn

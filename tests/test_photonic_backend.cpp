@@ -32,7 +32,7 @@ TEST(PhotonicBackend, MatvecCloseToFloatWithinQuantization) {
   for (auto& v : x) {
     v = rng.uniform(-1.0, 1.0);
   }
-  const nn::Vector y = backend.matvec(w, x);
+  const nn::Vector y = backend.matmul(w, nn::as_row(x)).data();
   const nn::Vector ref = w.matvec(x);
   // Error bound: input quantization only (weights already in range get
   // clamped, not re-quantized): per-term ≤ input LSB/2, summed over fan-in.
@@ -50,7 +50,7 @@ TEST(PhotonicBackend, MatvecTransposedCloseToFloat) {
   for (auto& v : x) {
     v = rng.uniform(-1.0, 1.0);
   }
-  const nn::Vector y = backend.matvec_transposed(w, x);
+  const nn::Vector y = backend.matmul_transposed(w, nn::as_row(x)).data();
   const nn::Vector ref = w.matvec_transposed(x);
   for (std::size_t i = 0; i < y.size(); ++i) {
     EXPECT_NEAR(y[i], ref[i], 6.0 * (1.0 / 254.0) + 1e-9);
@@ -63,7 +63,7 @@ TEST(PhotonicBackend, InputScalingHandlesLargeMagnitudes) {
   nn::Matrix w(1, 2);
   w.at(0, 0) = 0.5;
   w.at(0, 1) = -0.5;
-  const nn::Vector y = backend.matvec(w, {4.0, 2.0});
+  const nn::Vector y = backend.matmul(w, nn::as_row({4.0, 2.0})).data();
   EXPECT_NEAR(y[0], 1.0, 0.05);
 }
 
@@ -71,7 +71,7 @@ TEST(PhotonicBackend, WeightsOutsideRangeSaturate) {
   PhotonicBackend backend;
   nn::Matrix w(1, 1);
   w.at(0, 0) = 3.0;  // beyond the add-drop [-1, 1] range
-  const nn::Vector y = backend.matvec(w, {1.0});
+  const nn::Vector y = backend.matmul(w, nn::as_row({1.0})).data();
   EXPECT_NEAR(y[0], 1.0, 1e-6);
 }
 
@@ -81,7 +81,8 @@ TEST(PhotonicBackend, RankOneUpdateMatchesFloatAboveLsb) {
   PhotonicBackend backend(cfg);
   nn::Matrix w(2, 2, 0.0);
   // Large update: quantization error is second-order.
-  backend.rank1_update(w, {0.5, -0.5}, {0.8, 0.4}, 1.0);
+  backend.update_batch(w, nn::as_row({0.5, -0.5}), nn::as_row({0.8, 0.4}),
+                       1.0);
   EXPECT_NEAR(w.at(0, 0), -0.4, 1.0 / 127.0);
   EXPECT_NEAR(w.at(0, 1), -0.2, 1.0 / 127.0);
   EXPECT_NEAR(w.at(1, 0), 0.4, 1.0 / 127.0);
@@ -99,7 +100,8 @@ TEST(PhotonicBackend, UpdatesBelowHalfLsbAreLost) {
   nn::Matrix w(1, 1);
   w.at(0, 0) = SymmetricQuantizer(6).quantize(0.5);
   const double before = w.at(0, 0);
-  b6.rank1_update(w, {0.01}, {0.5}, 1.0);  // Δ = 0.005 < LSB6/2 = 0.016
+  // Δ = 0.005 < LSB6/2 = 0.016
+  b6.update_batch(w, nn::as_row({0.01}), nn::as_row({0.5}), 1.0);
   EXPECT_DOUBLE_EQ(w.at(0, 0), before);
 
   PhotonicBackendConfig cfg8;
@@ -108,7 +110,8 @@ TEST(PhotonicBackend, UpdatesBelowHalfLsbAreLost) {
   nn::Matrix w8(1, 1);
   w8.at(0, 0) = SymmetricQuantizer(8).quantize(0.5);
   const double before8 = w8.at(0, 0);
-  b8.rank1_update(w8, {0.01}, {0.5}, 1.0);  // Δ = 0.005 > LSB8/2 = 0.0039
+  // Δ = 0.005 > LSB8/2 = 0.0039
+  b8.update_batch(w8, nn::as_row({0.01}), nn::as_row({0.5}), 1.0);
   EXPECT_NE(w8.at(0, 0), before8);
 }
 
@@ -124,7 +127,7 @@ TEST(PhotonicBackend, StochasticRoundingIsUnbiasedOnAverage) {
   for (int t = 0; t < trials; ++t) {
     nn::Matrix w(1, 1);
     w.at(0, 0) = 0.5;
-    backend.rank1_update(w, {0.01}, {0.5}, 1.0);
+    backend.update_batch(w, nn::as_row({0.01}), nn::as_row({0.5}), 1.0);
     sum += w.at(0, 0);
   }
   const double mean_after = sum / trials;
@@ -135,13 +138,13 @@ TEST(PhotonicBackend, LedgerCountsProgrammingOncePerResidentMatrix) {
   PhotonicBackend backend;
   const nn::Matrix w = random_matrix(4, 4, 5);
   nn::Vector x{0.1, 0.2, 0.3, 0.4};
-  (void)backend.matvec(w, x);
+  (void)backend.matmul(w, nn::as_row(x));
   const auto writes_first = backend.ledger().weight_writes;
   EXPECT_EQ(writes_first, 16u);
-  (void)backend.matvec(w, x);  // same matrix resident: no rewrites
+  (void)backend.matmul(w, nn::as_row(x));  // resident: no rewrites
   EXPECT_EQ(backend.ledger().weight_writes, writes_first);
   const nn::Matrix w2 = random_matrix(4, 4, 6);
-  (void)backend.matvec(w2, x);  // different matrix: re-programs
+  (void)backend.matmul(w2, nn::as_row(x));  // different matrix: re-programs
   EXPECT_EQ(backend.ledger().weight_writes, writes_first + 16u);
 }
 
@@ -149,18 +152,18 @@ TEST(PhotonicBackend, TransposedPassForcesReprogram) {
   PhotonicBackend backend;
   const nn::Matrix w = random_matrix(4, 4, 7);
   nn::Vector x{0.1, 0.2, 0.3, 0.4};
-  (void)backend.matvec(w, x);
+  (void)backend.matmul(w, nn::as_row(x));
   const auto writes = backend.ledger().weight_writes;
-  (void)backend.matvec_transposed(w, x);  // bank re-encoded with Wᵀ
+  (void)backend.matmul_transposed(w, nn::as_row(x));  // bank re-encoded: Wᵀ
   EXPECT_EQ(backend.ledger().weight_writes, writes + 16u);
-  (void)backend.matvec(w, x);  // and again for the forward layout
+  (void)backend.matmul(w, nn::as_row(x));  // and again for the forward layout
   EXPECT_EQ(backend.ledger().weight_writes, writes + 32u);
 }
 
 TEST(PhotonicBackend, LedgerEnergyAndTimePositive) {
   PhotonicBackend backend;
   const nn::Matrix w = random_matrix(4, 4, 8);
-  (void)backend.matvec(w, {0.1, 0.2, 0.3, 0.4});
+  (void)backend.matmul(w, nn::as_row({0.1, 0.2, 0.3, 0.4}));
   const PhotonicLedger& ledger = backend.ledger();
   EXPECT_GT(ledger.energy().J(), 0.0);
   EXPECT_GT(ledger.time().s(), 0.0);
@@ -176,9 +179,11 @@ TEST(PhotonicBackend, UpdateLedgerCountsOnlyChangedCells) {
   PhotonicBackend backend;
   nn::Matrix w(2, 2, SymmetricQuantizer(8).quantize(0.5));
   // Zero learning rate: nothing changes, no write pulses.
-  backend.rank1_update(w, {1.0, 1.0}, {1.0, 1.0}, 0.0);
+  const nn::Matrix ones(1, 2, 1.0);
+  backend.update_batch(w, ones, ones, 0.0);
   EXPECT_EQ(backend.ledger().weight_writes, 0u);
-  backend.rank1_update(w, {1.0, 0.0}, {1.0, 0.0}, 0.1);
+  const nn::Matrix first = nn::as_row({1.0, 0.0});
+  backend.update_batch(w, first, first, 0.1);
   EXPECT_EQ(backend.ledger().weight_writes, 1u);  // only w(0,0) moved
 }
 
@@ -189,8 +194,8 @@ TEST(PhotonicBackend, ReadoutNoisePerturbsResults) {
   PhotonicBackend clean;
   const nn::Matrix w = random_matrix(4, 8, 9);
   nn::Vector x(8, 0.5);
-  const nn::Vector yn = noisy.matvec(w, x);
-  const nn::Vector yc = clean.matvec(w, x);
+  const nn::Vector yn = noisy.matmul(w, nn::as_row(x)).data();
+  const nn::Vector yc = clean.matmul(w, nn::as_row(x)).data();
   double max_dev = 0.0;
   for (std::size_t i = 0; i < yn.size(); ++i) {
     max_dev = std::max(max_dev, std::abs(yn[i] - yc[i]));
@@ -202,9 +207,11 @@ TEST(PhotonicBackend, ReadoutNoisePerturbsResults) {
 TEST(PhotonicBackend, DimensionChecks) {
   PhotonicBackend backend;
   nn::Matrix w(2, 3, 0.1);
-  EXPECT_THROW((void)backend.matvec(w, {1.0}), Error);
-  EXPECT_THROW((void)backend.matvec_transposed(w, {1.0}), Error);
-  EXPECT_THROW(backend.rank1_update(w, {1.0}, {1.0, 1.0, 1.0}, 0.1), Error);
+  EXPECT_THROW((void)backend.matmul(w, nn::as_row({1.0})), Error);
+  EXPECT_THROW((void)backend.matmul_transposed(w, nn::as_row({1.0})), Error);
+  EXPECT_THROW(backend.update_batch(w, nn::as_row({1.0}),
+                                    nn::as_row({1.0, 1.0, 1.0}), 0.1),
+               Error);
 }
 
 // --- batched GEMM path -----------------------------------------------------
@@ -231,8 +238,8 @@ class BatchNoise : public ::testing::TestWithParam<double> {};
 
 TEST_P(BatchNoise, MatmulBitIdenticalToMatvecLoop) {
   // Same-seeded backends must produce the same outputs, noise draws, and
-  // ledger counters whether the block goes through matmul or a per-sample
-  // matvec loop.
+  // ledger counters whether the block goes through one matmul or a loop of
+  // one-row matmuls.
   PhotonicBackendConfig cfg;
   cfg.readout_noise = GetParam();
   PhotonicBackend batched(cfg);
@@ -243,11 +250,11 @@ TEST_P(BatchNoise, MatmulBitIdenticalToMatvecLoop) {
   const nn::Matrix y = batched.matmul(w, x);
   ASSERT_EQ(y.rows(), 9u);
   ASSERT_EQ(y.cols(), 13u);
-  nn::Vector xb(w.cols());
+  nn::Matrix xb(1, w.cols());
   for (std::size_t b = 0; b < x.rows(); ++b) {
     const auto row = x.row(b);
-    std::copy(row.begin(), row.end(), xb.begin());
-    const nn::Vector yb = looped.matvec(w, xb);
+    std::copy(row.begin(), row.end(), xb.data().begin());
+    const nn::Vector yb = looped.matmul(w, xb).data();
     for (std::size_t r = 0; r < yb.size(); ++r) {
       EXPECT_EQ(y.at(b, r), yb[r]) << "sample " << b << " row " << r;
     }
@@ -266,11 +273,11 @@ TEST_P(BatchNoise, MatmulTransposedBitIdenticalToMatvecLoop) {
   const nn::Matrix y = batched.matmul_transposed(w, x);
   ASSERT_EQ(y.rows(), 6u);
   ASSERT_EQ(y.cols(), 7u);
-  nn::Vector xb(w.rows());
+  nn::Matrix xb(1, w.rows());
   for (std::size_t b = 0; b < x.rows(); ++b) {
     const auto row = x.row(b);
-    std::copy(row.begin(), row.end(), xb.begin());
-    const nn::Vector yb = looped.matvec_transposed(w, xb);
+    std::copy(row.begin(), row.end(), xb.data().begin());
+    const nn::Vector yb = looped.matmul_transposed(w, xb).data();
     for (std::size_t c = 0; c < yb.size(); ++c) {
       EXPECT_EQ(y.at(b, c), yb[c]) << "sample " << b << " col " << c;
     }
@@ -282,8 +289,8 @@ INSTANTIATE_TEST_SUITE_P(Noise, BatchNoise, ::testing::Values(0.0, 0.05));
 
 TEST(PhotonicBackendBatch, UpdateBatchMatchesSequentialRank1) {
   // update_batch is DEFINED as the sequential per-sample loop (in-situ
-  // programming quantizes after every sample) — weights and ledger must
-  // match exactly.
+  // programming quantizes after every sample) — one block and a loop of
+  // one-row updates must leave the same weights and ledger.
   PhotonicBackend batched;
   PhotonicBackend looped;
   nn::Matrix wb = random_matrix(5, 8, 35, 0.5);
@@ -292,14 +299,14 @@ TEST(PhotonicBackendBatch, UpdateBatchMatchesSequentialRank1) {
   const nn::Matrix y_prev = random_batch(4, 8, 37, 1.0);
 
   batched.update_batch(wb, dh, y_prev, 0.05);
-  nn::Vector dhb(5);
-  nn::Vector yb(8);
+  nn::Matrix dhb(1, 5);
+  nn::Matrix yb(1, 8);
   for (std::size_t b = 0; b < dh.rows(); ++b) {
     const auto dr = dh.row(b);
     const auto yr = y_prev.row(b);
-    std::copy(dr.begin(), dr.end(), dhb.begin());
-    std::copy(yr.begin(), yr.end(), yb.begin());
-    looped.rank1_update(wl, dhb, yb, 0.05);
+    std::copy(dr.begin(), dr.end(), dhb.data().begin());
+    std::copy(yr.begin(), yr.end(), yb.data().begin());
+    looped.update_batch(wl, dhb, yb, 0.05);
   }
   for (std::size_t i = 0; i < wb.size(); ++i) {
     EXPECT_EQ(wb.data()[i], wl.data()[i]);
@@ -342,7 +349,7 @@ TEST_P(BackendBits, MatvecErrorShrinksWithBits) {
   for (auto& v : x) {
     v = rng.uniform(0.0, 1.0);
   }
-  const nn::Vector y = backend.matvec(w, x);
+  const nn::Vector y = backend.matmul(w, nn::as_row(x)).data();
   const nn::Vector ref = w.matvec(x);
   double err = 0.0;
   for (std::size_t i = 0; i < y.size(); ++i) {

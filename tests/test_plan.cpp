@@ -206,32 +206,25 @@ TEST(PlanZeroAlloc, QuantizedBackendSteadyState) {
 
 // --- interpreter fallback ---------------------------------------------------
 
-/// Overrides only the per-sample pure virtuals plus a counting matmul shim:
-/// exactly the shape of a chaos injector or accounting decorator.  The plan
-/// runtime must route it through the interpreter with the per-op call
-/// sequence intact.
+/// Overrides the three batched primitives with a counting matmul and no
+/// run_plan: exactly the shape of a chaos injector or accounting decorator.
+/// The plan runtime must route it through the interpreter with the per-op
+/// call sequence intact.
 class TracingBackend final : public MatvecBackend {
  public:
   int matmul_calls = 0;
 
-  [[nodiscard]] Vector matvec(const Matrix& w, const Vector& x) override {
-    return w.matvec(x);
-  }
-  [[nodiscard]] Vector matvec_transposed(const Matrix& w,
-                                         const Vector& x) override {
-    return w.matvec_transposed(x);
-  }
-  void rank1_update(Matrix& w, const Vector& dh, const Vector& y_prev,
-                    double lr) override {
-    for (std::size_t r = 0; r < w.rows(); ++r) {
-      for (std::size_t c = 0; c < w.cols(); ++c) {
-        w.at(r, c) -= lr * dh[r] * y_prev[c];
-      }
-    }
-  }
   [[nodiscard]] Matrix matmul(const Matrix& w, const Matrix& x) override {
     ++matmul_calls;
-    return MatvecBackend::matmul(w, x);
+    return w.matmul(x);
+  }
+  [[nodiscard]] Matrix matmul_transposed(const Matrix& w,
+                                         const Matrix& x) override {
+    return w.matmul_transposed(x);
+  }
+  void update_batch(Matrix& w, const Matrix& dh, const Matrix& y_prev,
+                    double lr) override {
+    w.add_outer_batch(dh, y_prev, -lr);
   }
 };
 

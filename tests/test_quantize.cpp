@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -37,6 +39,18 @@ TEST(SymmetricQuantizer, SaturatesOutOfRange) {
   SymmetricQuantizer q(8);
   EXPECT_DOUBLE_EQ(q.quantize(3.5), 1.0);
   EXPECT_DOUBLE_EQ(q.quantize(-2.0), -1.0);
+}
+
+TEST(SymmetricQuantizer, NanMapsToLevelZero) {
+  SymmetricQuantizer q(8);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(q.to_level(nan), 0);
+  EXPECT_EQ(q.to_level(-nan), 0);
+  EXPECT_EQ(q.quantize(nan), 0.0);
+  std::vector<std::int8_t> levels(2, 7);
+  q.to_levels(std::vector<double>{nan, 0.5}, levels);
+  EXPECT_EQ(levels[0], 0);
+  EXPECT_EQ(levels[1], q.to_level(0.5));
 }
 
 TEST(SymmetricQuantizer, SymmetryProperty) {
@@ -80,6 +94,14 @@ TEST(UnsignedQuantizer, BasicLevels) {
   EXPECT_DOUBLE_EQ(q.quantize(1.0), 1.0);
   EXPECT_DOUBLE_EQ(q.quantize(-0.5), 0.0);  // clamps to non-negative
   EXPECT_DOUBLE_EQ(q.quantize(2.0), 1.0);
+}
+
+TEST(UnsignedQuantizer, NanMapsToLevelZero) {
+  UnsignedQuantizer q(8);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(q.to_level(nan), 0);
+  EXPECT_EQ(q.to_level(-nan), 0);
+  EXPECT_EQ(q.quantize(nan), 0.0);
 }
 
 TEST(UnsignedQuantizer, LevelBounds) {

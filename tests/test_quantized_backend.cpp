@@ -173,10 +173,11 @@ TEST(QuantizedBackend, BatchedBitIdenticalToSingleSamplePath) {
   const nn::Matrix y = batched.matmul(w, x);
 
   core::QuantizedBackend single;
+  nn::Matrix xb(1, x.cols());
   for (std::size_t b = 0; b < x.rows(); ++b) {
     const auto row = x.row(b);
-    const nn::Vector yb =
-        single.matvec(w, nn::Vector(row.begin(), row.end()));
+    std::copy(row.begin(), row.end(), xb.data().begin());
+    const nn::Vector yb = single.matmul(w, xb).data();
     for (std::size_t r = 0; r < w.rows(); ++r) {
       EXPECT_EQ(y.at(b, r), yb[r]) << "sample " << b << " row " << r;
     }
@@ -191,23 +192,24 @@ TEST(QuantizedBackend, LedgerMatchesPhotonicBackendCallForCall) {
   const nn::Matrix w2 = random_matrix(6, 8, -1.0, 1.0, rng);
   const nn::Matrix x = random_matrix(5, 12, -1.5, 1.5, rng);
   const nn::Matrix g = random_matrix(5, 8, -0.5, 0.5, rng);
-  const nn::Vector dh(8, 0.1);
-  const nn::Vector y_prev(12, 0.2);
+  const nn::Matrix dh(1, 8, 0.1);
+  const nn::Matrix y_prev(1, 12, 0.2);
+  const nn::Matrix x2(1, 8, 0.5);
 
   // Identical call sequences; weights mutate, so each backend gets copies.
   nn::Matrix wf = w1;
   nn::Matrix wp = w1;
   (void)fast.matmul(wf, x);       // program + block
   (void)fast.matmul(wf, x);       // resident reuse: no programming charge
-  (void)fast.matvec(w2, nn::Vector(8, 0.5));  // re-program with w2
+  (void)fast.matmul(w2, x2);      // re-program with w2
   (void)fast.matmul_transposed(wf, g);
-  fast.rank1_update(wf, dh, y_prev, 0.05);
+  fast.update_batch(wf, dh, y_prev, 0.05);
 
   (void)photonic.matmul(wp, x);
   (void)photonic.matmul(wp, x);
-  (void)photonic.matvec(w2, nn::Vector(8, 0.5));
+  (void)photonic.matmul(w2, x2);
   (void)photonic.matmul_transposed(wp, g);
-  photonic.rank1_update(wp, dh, y_prev, 0.05);
+  photonic.update_batch(wp, dh, y_prev, 0.05);
 
   EXPECT_EQ(fast.ledger(), photonic.ledger());
   // The deterministic grid update itself must also agree element for
@@ -222,7 +224,7 @@ TEST(QuantizedBackend, PlanCacheRecompilesWhenWeightsChangeInPlace) {
   nn::Matrix w = random_matrix(6, 10, -1.0, 1.0, rng);
   const nn::Matrix x = random_matrix(3, 10, -1.0, 1.0, rng);
 
-  (void)fast.matmul(w, x);  // panel compiled for the original values
+  (void)fast.matmul(w, x);  // packs the original values
 
   // Hot-swap style mutation: new values, same buffer address.
   for (double& v : w.data()) {
@@ -234,7 +236,7 @@ TEST(QuantizedBackend, PlanCacheRecompilesWhenWeightsChangeInPlace) {
     const double bound = fast.matmul_error_bound(w.cols(), row_scale(x.row(b)));
     for (std::size_t r = 0; r < w.rows(); ++r) {
       EXPECT_LE(std::abs(yf.at(b, r) - ye.at(b, r)), bound)
-          << "stale panel served after in-place weight change";
+          << "stale levels served after in-place weight change";
     }
   }
 }
@@ -322,11 +324,10 @@ TEST(QuantizedBackend, RejectsGridsWiderThanInt8) {
 }
 
 TEST(QuantizedBackend, PlanCacheSurvivesAddressReuseWithNewContent) {
-  // The weight-plan cache is keyed by Matrix address but guarded by a
-  // content fingerprint checked on every lookup.  The ABA hazard: free a
-  // cached matrix, allocate a different one at the same address, and serve
-  // the stale packed panel.  Loop a few times so the allocator has every
-  // chance to reuse the address; correctness must hold either way.
+  // The ABA hazard of any address-keyed weight cache: free a matrix,
+  // allocate a different one at the same address, and serve the old packed
+  // levels.  Loop a few times so the allocator has every chance to reuse
+  // the address; correctness must hold either way.
   core::QuantizedBackend backend;
   Rng rng(0xABAu);
   auto first = std::make_unique<nn::Matrix>(random_matrix(6, 10, -1.0, 1.0,
@@ -342,9 +343,8 @@ TEST(QuantizedBackend, PlanCacheSurvivesAddressReuseWithNewContent) {
     address_reused = address_reused || second.get() == first_addr;
     const nn::Matrix x = random_matrix(3, 10, -1.0, 1.0, rng);
     const nn::Matrix got = backend.matmul(*second, x);
-    // A fresh backend cannot have a stale cache entry: its output is the
-    // ground truth for these weights.  Bit-equality proves the fingerprint
-    // — not the address — decided the cache hit.
+    // A fresh backend has seen no other matrix: its output is the ground
+    // truth for these weights.
     core::QuantizedBackend fresh;
     const nn::Matrix want = fresh.matmul(*second, x);
     for (std::size_t b = 0; b < x.rows(); ++b) {
@@ -356,8 +356,4 @@ TEST(QuantizedBackend, PlanCacheSurvivesAddressReuseWithNewContent) {
     }
     first = std::move(second);
   }
-  // make_unique of an identically-sized object straight after the free:
-  // every mainstream allocator hands the block back, so the loop above
-  // genuinely exercised the stale-plan path at least once.
-  EXPECT_TRUE(address_reused);
 }

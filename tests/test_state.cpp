@@ -334,16 +334,16 @@ TEST(BackendState, RngRoundTripAndLedgerRestoreUnmirrored) {
   core::PhotonicBackend a(cfg);
   nn::Matrix w(2, 3, 0.25);
   nn::Vector x{0.1, -0.2, 0.3};
-  (void)a.matvec(w, x);
+  (void)a.matmul(w, nn::as_row(x));
   const std::string rng_saved = a.rng_state();
-  const nn::Vector next_a = a.matvec(w, x);
+  const nn::Vector next_a = a.matmul(w, nn::as_row(x)).data();
 
   core::PhotonicBackend b(cfg);
   b.restore_rng_state(rng_saved);
   b.restore_ledger(a.ledger());
   b.mark_resident(w);
   EXPECT_TRUE(b.is_resident(w));
-  const nn::Vector next_b = b.matvec(w, x);
+  const nn::Vector next_b = b.matmul(w, nn::as_row(x)).data();
   // Same RNG state + resident weights: the restored backend's next output
   // is bit-identical, and residency means no new program burst is billed.
   EXPECT_EQ(next_b, next_a);

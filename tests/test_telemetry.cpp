@@ -854,21 +854,21 @@ TEST_F(TelemetryTest, MetricsMirrorLedgerExactly) {
     w.data()[i] = 0.1 * static_cast<double>(i % 7) - 0.3;
   }
   const nn::Vector x{0.2, -0.5, 0.8};
-  (void)backend.matvec(w, x);
-  (void)backend.matvec(w, x);  // resident reuse: no extra programming
+  (void)backend.matmul(w, nn::as_row(x));
+  (void)backend.matmul(w, nn::as_row(x));  // resident: no extra programming
   nn::Matrix xb(5, 3);
   for (std::size_t i = 0; i < xb.data().size(); ++i) {
     xb.data()[i] = 0.05 * static_cast<double>(i) - 0.3;
   }
   (void)backend.matmul(w, xb);
-  (void)backend.matvec_transposed(w, nn::Vector{0.1, 0.2, 0.3, 0.4});
+  (void)backend.matmul_transposed(w, nn::as_row({0.1, 0.2, 0.3, 0.4}));
   nn::Matrix xt(2, 4);
   for (std::size_t i = 0; i < xt.data().size(); ++i) {
     xt.data()[i] = 0.1 * static_cast<double>(i) - 0.4;
   }
   (void)backend.matmul_transposed(w, xt);
-  backend.rank1_update(w, nn::Vector{0.1, 0.2, 0.3, 0.4},
-                       nn::Vector{0.5, 0.6, 0.7}, 0.1);
+  backend.update_batch(w, nn::as_row({0.1, 0.2, 0.3, 0.4}),
+                       nn::as_row({0.5, 0.6, 0.7}), 0.1);
   set_enabled(false);
 
   const MetricsSnapshot snap = reg.snapshot();
@@ -886,7 +886,7 @@ TEST_F(TelemetryTest, MetricsMirrorLedgerExactly) {
   // Bit-exact energy: both sides compute from the same integers.
   EXPECT_EQ(from_metrics.energy().J(), backend.ledger().energy().J());
   EXPECT_EQ(from_metrics.time().s(), backend.ledger().time().s());
-  // The second matvec and the forward matmul were both served by resident
+  // The second one-row matmul and the block matmul were both served by resident
   // weights (non-volatility: programming charged only when contents change).
   EXPECT_EQ(snap.counter_value("trident_backend_program_reuse_total"), 2u);
 }
@@ -899,7 +899,7 @@ TEST_F(TelemetryTest, DisabledPathLeavesMetricsUntouched) {
   core::PhotonicBackend backend;
   nn::Matrix w(2, 2);
   w.data() = {0.1, -0.2, 0.3, -0.4};
-  (void)backend.matvec(w, nn::Vector{0.5, 0.5});
+  (void)backend.matmul(w, nn::as_row({0.5, 0.5}));
 
   const MetricsSnapshot snap = reg.snapshot();
   EXPECT_EQ(snap.counter_value("trident_ledger_symbols_total"), 0u);

@@ -47,8 +47,8 @@ TEST(VariationBackend, ZeroSigmaMatchesPhotonicBackend) {
   PhotonicBackend plain;
   const nn::Matrix w = filled(3, 5, 0.4);
   const nn::Vector x{0.1, 0.2, 0.3, 0.4, 0.5};
-  const nn::Vector a = varied.matvec(w, x);
-  const nn::Vector b = plain.matvec(w, x);
+  const nn::Vector a = varied.matmul(w, nn::as_row(x)).data();
+  const nn::Vector b = plain.matmul(w, nn::as_row(x)).data();
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_NEAR(a[i], b[i], 1e-12);
   }
@@ -60,7 +60,7 @@ TEST(VariationBackend, GainScalesForwardOutput) {
   VariationBackend backend(cfg);
   nn::Matrix w(1, 1, 0.5);
   const double gain = backend.gains(w)[0];
-  const nn::Vector y = backend.matvec(w, {1.0});
+  const nn::Vector y = backend.matmul(w, nn::as_row({1.0})).data();
   EXPECT_NEAR(y[0], 0.5 * gain, 0.01);
 }
 
@@ -70,7 +70,7 @@ TEST(VariationBackend, BackwardSeesSameGains) {
   VariationBackend backend(cfg);
   nn::Matrix w(1, 1, 0.5);
   const double gain = backend.gains(w)[0];
-  const nn::Vector g = backend.matvec_transposed(w, {1.0});
+  const nn::Vector g = backend.matmul_transposed(w, nn::as_row({1.0})).data();
   EXPECT_NEAR(g[0], 0.5 * gain, 0.01);
 }
 
@@ -80,7 +80,7 @@ TEST(VariationBackend, RowOffsetsShiftOutputs) {
   cfg.row_offset_sigma = 0.1;
   VariationBackend backend(cfg);
   nn::Matrix w(4, 1, 0.0);  // zero weights: output is pure offset
-  const nn::Vector y = backend.matvec(w, {1.0});
+  const nn::Vector y = backend.matmul(w, nn::as_row({1.0})).data();
   bool any_nonzero = false;
   for (double v : y) {
     if (std::abs(v) > 1e-4) {
