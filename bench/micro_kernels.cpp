@@ -352,6 +352,35 @@ void BM_PhotonicBackendRank1(benchmark::State& state) {
 }
 BENCHMARK(BM_PhotonicBackendRank1)->Arg(16)->Arg(64)->Arg(256);
 
+/// One-sample in-situ update with stochastic rounding on a rows×cols layer:
+/// one engine draw, the rank-1 step and a GST level select per cell.  Items
+/// are cells.  64×33 and 16×64 are the insitu-train layers.  The gradient
+/// alternates sign so the sub-LSB steps random-walk instead of driving the
+/// weights into saturation.
+void BM_PhotonicBackendRank1Stochastic(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const auto cols = static_cast<std::size_t>(state.range(1));
+  core::PhotonicBackendConfig cfg;
+  cfg.stochastic_rounding = true;
+  core::PhotonicBackend backend(cfg);
+  Rng rng(3);
+  nn::Matrix w = nn::Matrix::xavier(rows, cols, rng);
+  const nn::Matrix dh_up(1, rows, 0.05);
+  const nn::Matrix dh_down(1, rows, -0.05);
+  const nn::Matrix y(1, cols, 0.4);
+  bool up = true;
+  for (auto _ : state) {
+    backend.update_batch(w, up ? dh_up : dh_down, y, 0.05);
+    up = !up;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(rows * cols));
+}
+BENCHMARK(BM_PhotonicBackendRank1Stochastic)
+    ->Args({64, 33})
+    ->Args({16, 64})
+    ->Args({256, 256});
+
 void BM_AnalyzeModel(benchmark::State& state) {
   const auto models = nn::zoo::evaluation_models();
   const auto& model = models[static_cast<std::size_t>(state.range(0))];

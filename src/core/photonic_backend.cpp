@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/stochastic_update.hpp"
 #include "nn/plan.hpp"
 #include "photonics/constants.hpp"
 #include "telemetry/metrics.hpp"
@@ -97,6 +98,23 @@ void note_ledger(std::uint64_t weight_writes, std::uint64_t program_events,
          units::period(phot::kClockRate);
 }
 
+/// The weights saturated to the add-drop [-1, 1] range: `w` itself when
+/// every weight is already in range (update_batch stores only clamped
+/// levels; clamp is the identity there and for NaN), else a clamped copy of
+/// externally-set out-of-range values, built in `clamped`.
+const nn::Matrix& saturated(const nn::Matrix& w, nn::Matrix& clamped) {
+  const auto& v = w.data();
+  if (std::none_of(v.begin(), v.end(),
+                   [](double x) { return x < -1.0 || x > 1.0; })) {
+    return w;
+  }
+  clamped = w;
+  for (double& x : clamped.data()) {
+    x = std::clamp(x, -1.0, 1.0);
+  }
+  return clamped;
+}
+
 }  // namespace
 
 namespace detail {
@@ -171,22 +189,6 @@ void PhotonicBackend::ensure_programmed(const nn::Matrix& w) {
   resident_matrix_ = static_cast<const void*>(&w);
 }
 
-double PhotonicBackend::quantize_weight(double v, double scale) {
-  const double unit = std::clamp(v / scale, -1.0, 1.0);
-  if (!config_.stochastic_rounding) {
-    return weight_quantizer_.quantize(unit) * scale;
-  }
-  // Stochastic rounding: round up with probability equal to the fractional
-  // position between the two neighbouring levels (unbiased dither).
-  const double step = weight_quantizer_.step();
-  const double scaled = unit / step;
-  const double floor_level = std::floor(scaled);
-  const double frac = scaled - floor_level;
-  const double level = rng_.bernoulli(frac) ? floor_level + 1.0 : floor_level;
-  const double q = std::clamp(level * step, -1.0, 1.0);
-  return q * scale;
-}
-
 void PhotonicBackend::quantize_inputs(const nn::Matrix& x, nn::Vector& scale,
                                       nn::Matrix& xq) const {
   // Input DAC: hardware range is [-1, 1] after the polarity split, so each
@@ -230,16 +232,8 @@ nn::Matrix PhotonicBackend::matmul(const nn::Matrix& w, const nn::Matrix& x) {
   nn::Matrix xq;
   quantize_inputs(x, scale, xq);
 
-  // Saturate the stored weights once per block instead of once per MAC:
-  // stored weights are already on the GST grid (update_batch keeps the
-  // master copy quantized); the clamp defends against externally-set
-  // out-of-range values.
-  nn::Matrix clamped = w;
-  for (double& v : clamped.data()) {
-    v = std::clamp(v, -1.0, 1.0);
-  }
-
-  nn::Matrix y = clamped.matmul(xq);
+  nn::Matrix clamped;
+  nn::Matrix y = saturated(w, clamped).matmul(xq);
   noise_and_rescale(y, scale);
 
   ledger_.symbols += batch;
@@ -273,8 +267,8 @@ bool PhotonicBackend::run_plan(const nn::ExecutionPlan& plan,
     const bool last = (k == depth - 1);
     nn::Matrix& y = last ? arena.out() : arena.act(k);
     y.reshape(batch, layer.rows);
-    // The pre-clamped panel replaces the fresh saturated copy matmul makes
-    // per call — same values, no allocation.
+    // The pre-clamped panel holds the values matmul saturates to, without
+    // matmul's per-call range scan.
     layer.clamped.matmul_into(xq, y);
     noise_and_rescale(y, scale);
     // Hidden-layer activation as its own whole-buffer pass, mirroring
@@ -321,12 +315,8 @@ nn::Matrix PhotonicBackend::matmul_transposed(const nn::Matrix& w,
   nn::Matrix xq;
   quantize_inputs(x, scale, xq);
 
-  nn::Matrix clamped = w;
-  for (double& v : clamped.data()) {
-    v = std::clamp(v, -1.0, 1.0);
-  }
-
-  nn::Matrix y = clamped.matmul_transposed(xq);
+  nn::Matrix clamped;
+  nn::Matrix y = saturated(w, clamped).matmul_transposed(xq);
   noise_and_rescale(y, scale);
 
   // Signed gradients stream as two polarity symbols.
@@ -357,14 +347,27 @@ void PhotonicBackend::update_batch(nn::Matrix& w, const nn::Matrix& dh,
     // there is no float master copy in the hardware, so updates below half
     // an LSB are simply lost (the 8-vs-6-bit training cliff).
     std::uint64_t changed = 0;
-    for (std::size_t r = 0; r < w.rows(); ++r) {
-      auto row = w.row(r);
-      for (std::size_t c = 0; c < row.size(); ++c) {
-        const double target = row[c] - lr * dhb[r] * yb[c];
-        const double quantized = quantize_weight(target, 1.0);
-        if (quantized != row[c]) {
-          row[c] = quantized;
-          ++changed;
+    if (config_.stochastic_rounding) {
+      // Stochastic rounding: round up with probability equal to the
+      // fractional position between the two neighbouring levels (unbiased
+      // dither).  One draw per cell, row-major, made for this sample only.
+      draws_.resize(w.size());
+      draw_canonical(rng_.engine(), draws_);
+      changed = stochastic_round_update(w.data().data(), w.rows(), w.cols(),
+                                        dhb.data(), yb.data(), lr,
+                                        weight_quantizer_.step(),
+                                        draws_.data());
+    } else {
+      for (std::size_t r = 0; r < w.rows(); ++r) {
+        auto row = w.row(r);
+        for (std::size_t c = 0; c < row.size(); ++c) {
+          const double target = row[c] - lr * dhb[r] * yb[c];
+          const double quantized =
+              weight_quantizer_.quantize(std::clamp(target, -1.0, 1.0));
+          if (quantized != row[c]) {
+            row[c] = quantized;
+            ++changed;
+          }
         }
       }
     }

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/quantize.hpp"
 #include "common/rng.hpp"
@@ -96,7 +97,9 @@ class PhotonicBackend final : public nn::MatvecBackend {
                                              const nn::Matrix& x) override;
   /// In-situ SGD: one optical outer product and one GST programming step
   /// per sample, in batch order.  Programming quantizes after every
-  /// sample, so the result is defined BY that order.
+  /// sample, so the result is defined BY that order.  With stochastic
+  /// rounding each sample draws one uniform per cell, row-major, then runs
+  /// the vectorized stochastic_round_update kernel.
   void update_batch(nn::Matrix& w, const nn::Matrix& dh,
                     const nn::Matrix& y_prev, double lr) override;
 
@@ -104,8 +107,9 @@ class PhotonicBackend final : public nn::MatvecBackend {
   /// quantizes the block into the arena, multiplies against the pre-clamped
   /// panel, then applies noise/re-scale and the activation epilogue in
   /// place.  Outputs, RNG draws, and ledger counters are bit-identical to
-  /// Mlp::forward_batch through matmul; the per-call clamped weight copy is
-  /// the only work removed.  Zero steady-state heap allocation.
+  /// Mlp::forward_batch through matmul; matmul's per-call weight range scan
+  /// (and clamped copy, for out-of-range weights) is the only work removed.
+  /// Zero steady-state heap allocation.
   bool run_plan(const nn::ExecutionPlan& plan, const nn::Matrix& x,
                 nn::PlanArena& arena) override;
 
@@ -141,8 +145,6 @@ class PhotonicBackend final : public nn::MatvecBackend {
  private:
   /// Charges programming for `w` unless it is still resident.
   void ensure_programmed(const nn::Matrix& w);
-  /// Quantizes a value to the stored-weight grid at scale `scale`.
-  [[nodiscard]] double quantize_weight(double v, double scale);
   /// Input DAC: per-sample range scale into `scale` (≥ x.rows() entries)
   /// and the quantized block into `xq` (reshaped to x's shape).
   void quantize_inputs(const nn::Matrix& x, nn::Vector& scale,
@@ -154,6 +156,8 @@ class PhotonicBackend final : public nn::MatvecBackend {
   SymmetricQuantizer weight_quantizer_;
   SymmetricQuantizer input_quantizer_;
   Rng rng_;
+  /// Per-sample stochastic-rounding draws, one per cell (reused scratch).
+  std::vector<double> draws_;
   PhotonicLedger ledger_;
   const void* resident_matrix_ = nullptr;
 };

@@ -6,24 +6,16 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/kernel_clones.hpp"
 #include "parallel/thread_pool.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace trident::nn {
 
-// Same multiversioning gate as the double kernels (src/nn/matrix.cpp): GCC
-// ifunc dispatch over AVX-512/AVX2/baseline, disabled under TSan (resolver
-// runs before the interceptors) and under TRIDENT_NO_KERNEL_CLONES (the
-// -DTRIDENT_SIMD=OFF fallback build).  Integer arithmetic is associative,
-// so unlike the FP kernels the clones are trivially bit-identical.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__) && !defined(TRIDENT_NO_KERNEL_CLONES)
-#define TRIDENT_INT8_KERNEL_CLONES \
-  __attribute__((target_clones("avx512f", "avx2", "default")))
-#else
-#define TRIDENT_INT8_KERNEL_CLONES
-#endif
+// Same multiversioning gate as the double kernels (common/kernel_clones.hpp).
+// Integer arithmetic is associative, so unlike the FP kernels the clones
+// are trivially bit-identical.
 
 // 16-lane int32 vector: one zmm on AVX-512, two ymm on AVX2, four xmm on
 // baseline.  Each lane is one sample's accumulator chain.
@@ -39,8 +31,7 @@ using v16si = std::int32_t __attribute__((vector_size(64), aligned(64)));
 // needs real intrinsics (no vector-extension spelling of vpmaddwd), so it
 // is a separate runtime-dispatched function rather than a target_clones
 // member.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__) && !defined(TRIDENT_NO_KERNEL_CLONES)
+#ifdef TRIDENT_HAVE_KERNEL_CLONES
 #define TRIDENT_INT8_MADD 1
 #include <immintrin.h>
 #endif
@@ -140,13 +131,13 @@ template <std::size_t MB>
 #endif
 }
 
-TRIDENT_INT8_KERNEL_CLONES
+TRIDENT_KERNEL_CLONES
 void int8_block_wide(const std::int8_t* w, std::size_t rows, std::size_t cols,
                      const std::int8_t* x, std::int32_t* y, std::size_t b0) {
   int8_panel<kBatchBlock>(w, rows, cols, x, y, b0);
 }
 
-TRIDENT_INT8_KERNEL_CLONES
+TRIDENT_KERNEL_CLONES
 void int8_block_small(const std::int8_t* w, std::size_t rows,
                       std::size_t cols, const std::int8_t* x, std::int32_t* y,
                       std::size_t b0) {
@@ -217,7 +208,7 @@ __attribute__((target("avx512f,avx512bw"))) void int8_block_madd(
 
 /// Transposed block: each sample owns its output row (no cross-column
 /// chain), so the column loop auto-vectorises at full width per clone.
-TRIDENT_INT8_KERNEL_CLONES
+TRIDENT_KERNEL_CLONES
 void int8_transposed_block(const std::int8_t* w, std::size_t rows,
                            std::size_t cols, const std::int8_t* x,
                            std::int32_t* y, std::size_t b0, std::size_t mb) {
@@ -273,8 +264,7 @@ struct Int8GemmMetrics {
 }  // namespace
 
 const char* int8_kernel_isa() {
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__) && !defined(TRIDENT_NO_KERNEL_CLONES)
+#ifdef TRIDENT_HAVE_KERNEL_CLONES
   if (__builtin_cpu_supports("avx512bw")) {
     return "avx512bw";  // vpmaddwd pair-multiply tier
   }

@@ -6,33 +6,21 @@
 #include <cmath>
 #include <string>
 
+#include "common/kernel_clones.hpp"
 #include "parallel/thread_pool.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace trident::nn {
 
-// The batched kernels below carry GCC/Clang function multiversioning: the
-// loops are compiled once per ISA (AVX-512, AVX2, baseline SSE2) and the
-// best clone is picked at load time, so one binary runs everywhere but uses
-// the wide units where they exist.  Together with -ffp-contract=off (set on
-// this file by CMake) every clone performs the identical sequence of IEEE
-// multiplies and adds — vector width changes which lanes run together, never
-// what any one sample's accumulation chain computes.
-// ThreadSanitizer runs its interceptors before the dynamic loader resolves
-// ifuncs; the target_clones resolver then faults inside libtsan.  Sanitized
-// builds therefore compile the baseline kernel only — the maths is identical
-// (see above), only the vector width changes.
-// TRIDENT_NO_KERNEL_CLONES (the -DTRIDENT_SIMD=OFF build) additionally
-// forces the baseline-only fallback so CI can prove the maths does not
-// depend on the multiversioned clones.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__) && !defined(TRIDENT_NO_KERNEL_CLONES)
-#define TRIDENT_KERNEL_CLONES \
-  __attribute__((target_clones("avx512f", "avx2", "default")))
-#else
-#define TRIDENT_KERNEL_CLONES
-#endif
+// The batched kernels below carry function multiversioning
+// (TRIDENT_KERNEL_CLONES, common/kernel_clones.hpp): the loops are compiled
+// once per ISA and the best clone is picked at load time.  Together with
+// -ffp-contract=off (set on this file by CMake) every clone performs the
+// identical sequence of IEEE multiplies and adds — vector width changes
+// which lanes run together, never what any one sample's accumulation chain
+// computes.  Builds without the clones (TSan, -DTRIDENT_SIMD=OFF) run the
+// same maths at the baseline width.
 
 // GNU vector extension: an 8-lane double vector compiled down to whatever
 // the enclosing clone's ISA provides (one zmm op on AVX-512, four SSE2 ops
@@ -197,8 +185,7 @@ void add_outer_row(double* w, const double* adata, const double* bdata,
 /// resolver and __builtin_cpu_supports consult the same CPUID feature words,
 /// so this names the clone that actually runs.
 [[nodiscard]] const char* kernel_isa() {
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__) && !defined(TRIDENT_NO_KERNEL_CLONES)
+#ifdef TRIDENT_HAVE_KERNEL_CLONES
   if (__builtin_cpu_supports("avx512f")) {
     return "avx512f";
   }

@@ -6,8 +6,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <vector>
 
 #include "common/error.hpp"
+#include "core/stochastic_update.hpp"
 
 namespace trident::core {
 namespace {
@@ -333,6 +338,275 @@ TEST(PhotonicBackendBatch, DimensionChecks) {
   nn::Matrix w(2, 3, 0.1);
   EXPECT_THROW((void)backend.matmul(w, nn::Matrix(2, 2)), Error);
   EXPECT_THROW((void)backend.matmul_transposed(w, nn::Matrix(2, 3)), Error);
+}
+
+// --- stochastic-rounding update kernel ------------------------------------
+
+/// Reference for the stochastic-rounding update: the plain per-cell loop,
+/// one std::bernoulli_distribution trial per cell, row-major.  The backend's
+/// draw and apply passes must reproduce its stored bits, ledger and engine
+/// state exactly.
+class PerCellReference {
+ public:
+  PerCellReference(int bits, std::uint64_t seed)
+      : weight_quantizer_(bits, 1.0), rng_(seed) {}
+
+  void update_batch(nn::Matrix& w, const nn::Matrix& dh,
+                    const nn::Matrix& y_prev, double lr) {
+    for (std::size_t b = 0; b < dh.rows(); ++b) {
+      const auto dhb = dh.row(b);
+      const auto yb = y_prev.row(b);
+      ledger_.symbols += w.rows();
+      ledger_.macs += w.size();
+      std::uint64_t changed = 0;
+      for (std::size_t r = 0; r < w.rows(); ++r) {
+        auto row = w.row(r);
+        for (std::size_t c = 0; c < row.size(); ++c) {
+          const double target = row[c] - lr * dhb[r] * yb[c];
+          const double quantized = quantize_weight(target, 1.0);
+          if (quantized != row[c]) {
+            row[c] = quantized;
+            ++changed;
+          }
+        }
+      }
+      ledger_.weight_writes += changed;
+      if (changed > 0) {
+        ledger_.program_events += 1;
+      }
+    }
+  }
+
+  [[nodiscard]] const PhotonicLedger& ledger() const { return ledger_; }
+  [[nodiscard]] std::string rng_state() const { return rng_.state(); }
+
+ private:
+  double quantize_weight(double v, double scale) {
+    const double unit = std::clamp(v / scale, -1.0, 1.0);
+    const double step = weight_quantizer_.step();
+    const double scaled = unit / step;
+    const double floor_level = std::floor(scaled);
+    const double frac = scaled - floor_level;
+    const double level =
+        rng_.bernoulli(frac) ? floor_level + 1.0 : floor_level;
+    const double q = std::clamp(level * step, -1.0, 1.0);
+    return q * scale;
+  }
+
+  SymmetricQuantizer weight_quantizer_;
+  Rng rng_;
+  PhotonicLedger ledger_;
+};
+
+struct UpdateCase {
+  const char* name;
+  int bits;
+  nn::Matrix w;
+  nn::Matrix dh;
+  nn::Matrix y;
+  double lr;
+};
+
+/// Runs `steps` identical update_batch calls through the backend and the
+/// per-cell reference from the same seed, asserting equal weight bits,
+/// ledgers and engine states after every call.
+void expect_matches_per_cell_loop(const UpdateCase& tc, int steps = 4) {
+  SCOPED_TRACE(tc.name);
+  constexpr std::uint64_t kSeed = 0x51ce;
+  PhotonicBackendConfig cfg;
+  cfg.weight_bits = tc.bits;
+  cfg.stochastic_rounding = true;
+  cfg.seed = kSeed;
+  PhotonicBackend backend(cfg);
+  PerCellReference reference(tc.bits, kSeed);
+  nn::Matrix wk = tc.w;
+  nn::Matrix wr = tc.w;
+  for (int step = 0; step < steps; ++step) {
+    SCOPED_TRACE(step);
+    backend.update_batch(wk, tc.dh, tc.y, tc.lr);
+    reference.update_batch(wr, tc.dh, tc.y, tc.lr);
+    ASSERT_EQ(0, std::memcmp(wk.data().data(), wr.data().data(),
+                             wk.size() * sizeof(double)));
+    expect_ledger_eq(backend.ledger(), reference.ledger());
+    ASSERT_EQ(backend.rng_state(), reference.rng_state());
+  }
+}
+
+/// Weights on the `bits`-bit grid, uniform in [-limit, limit].
+nn::Matrix grid_matrix(std::size_t rows, std::size_t cols, int bits,
+                       std::uint64_t seed, double limit = 0.9) {
+  nn::Matrix w = random_matrix(rows, cols, seed, limit);
+  SymmetricQuantizer(bits).quantize(w.data());
+  return w;
+}
+
+struct UpdateShape {
+  std::size_t rows;
+  std::size_t cols;
+  std::size_t batch;
+};
+
+class StochasticUpdateShape : public ::testing::TestWithParam<UpdateShape> {};
+
+TEST_P(StochasticUpdateShape, MatchesPerCellBernoulliLoop) {
+  const auto [rows, cols, batch] = GetParam();
+  expect_matches_per_cell_loop(
+      {"random", 8, grid_matrix(rows, cols, 8, 40 + rows),
+       random_batch(batch, rows, 41 + cols, 0.2),
+       random_batch(batch, cols, 42, 1.0), 0.05});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, StochasticUpdateShape,
+    ::testing::Values(UpdateShape{1, 1, 1}, UpdateShape{1, 17, 1},
+                      UpdateShape{7, 9, 1}, UpdateShape{64, 33, 1},
+                      UpdateShape{16, 64, 1}, UpdateShape{7, 9, 3}),
+    [](const ::testing::TestParamInfo<UpdateShape>& shape) {
+      return std::to_string(shape.param.rows) + "x" +
+             std::to_string(shape.param.cols) + "_b" +
+             std::to_string(shape.param.batch);
+    });
+
+TEST(StochasticUpdate, SaturatesPastBothEndsLikePerCellLoop) {
+  // Near-full-scale weights under a large step land beyond ±1 and clamp.
+  nn::Matrix w = grid_matrix(7, 9, 8, 50, 1.0);
+  for (std::size_t i = 0; i < w.size(); i += 2) {
+    w.data()[i] = i % 4 == 0 ? 1.0 : -1.0;
+  }
+  expect_matches_per_cell_loop({"saturation", 8, w,
+                                random_batch(1, 7, 51, 1.0),
+                                random_batch(1, 9, 52, 1.0), 5.0});
+}
+
+TEST(StochasticUpdate, ExactLevelHitsNeverRoundUp) {
+  // frac = 0 exactly: no draw is below 0, so such a cell never rounds up.
+  // With two bits the step is 1.0, and the targets w - 0.5·dh·y land on
+  // whole levels and exact halves.
+  nn::Matrix w(3, 4);
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    w.data()[i] = static_cast<double>(static_cast<int>(i % 3) - 1);
+  }
+  const nn::Matrix dh = nn::as_row({0.0, 2.0, -2.0});
+  const nn::Matrix y = nn::as_row({1.0, -1.0, 0.5, 0.0});
+  expect_matches_per_cell_loop({"2-bit levels", 2, w, dh, y, 0.5});
+
+  // Eight bits, zero gradient: levels whose value divides back exactly.
+  const double step = SymmetricQuantizer(8).step();
+  nn::Matrix w8(4, 5);
+  int level = -127;
+  for (double& v : w8.data()) {
+    while (static_cast<double>(level) * step / step !=
+           static_cast<double>(level)) {
+      ++level;
+    }
+    v = static_cast<double>(level++) * step;
+  }
+  PhotonicBackendConfig cfg;
+  cfg.stochastic_rounding = true;
+  PhotonicBackend backend(cfg);
+  nn::Matrix moved = w8;
+  backend.update_batch(moved, nn::Matrix(1, 4, 0.0), nn::Matrix(1, 5, 0.7),
+                       0.1);
+  EXPECT_EQ(0, std::memcmp(moved.data().data(), w8.data().data(),
+                           w8.size() * sizeof(double)));
+  EXPECT_EQ(backend.ledger().weight_writes, 0u);
+  expect_matches_per_cell_loop({"8-bit exact levels", 8, w8,
+                                nn::Matrix(1, 4, 0.0),
+                                nn::Matrix(1, 5, 0.7), 0.1});
+}
+
+TEST(StochasticUpdate, ZeroLearningRateMatchesPerCellLoop) {
+  expect_matches_per_cell_loop({"lr = 0", 8, grid_matrix(7, 9, 8, 53),
+                                random_batch(2, 7, 54, 0.2),
+                                random_batch(2, 9, 55, 1.0), 0.0});
+}
+
+TEST(StochasticUpdate, NanGradientStoresNanLikePerCellLoop) {
+  nn::Matrix dh = random_batch(1, 7, 56, 0.2);
+  dh.at(0, 3) = std::numeric_limits<double>::quiet_NaN();
+  expect_matches_per_cell_loop({"NaN in dh", 8, grid_matrix(7, 9, 8, 57), dh,
+                                random_batch(1, 9, 58, 1.0), 0.05});
+
+  PhotonicBackendConfig cfg;
+  cfg.stochastic_rounding = true;
+  PhotonicBackend backend(cfg);
+  nn::Matrix w = grid_matrix(7, 9, 8, 57);
+  backend.update_batch(w, dh, random_batch(1, 9, 58, 1.0), 0.05);
+  for (std::size_t c = 0; c < w.cols(); ++c) {
+    EXPECT_TRUE(std::isnan(w.at(3, c))) << "col " << c;
+  }
+}
+
+TEST(StochasticUpdate, OverflowingStepKeepsTheProductOrder) {
+  // lr·dh overflows to inf, so (lr·dh)·0 is NaN where lr·(dh·0) would be
+  // 0: the kernel must multiply in the per-cell loop's order.
+  nn::Matrix dh = random_batch(1, 7, 60, 0.2);
+  dh.at(0, 2) = 1e300;
+  dh.at(0, 5) = -1e300;
+  nn::Matrix y = random_batch(1, 9, 61, 1.0);
+  y.at(0, 4) = 0.0;
+  expect_matches_per_cell_loop(
+      {"lr·dh = ±inf", 8, grid_matrix(7, 9, 8, 62), dh, y, 1e10});
+}
+
+/// A URBG that returns preset 64-bit outputs (mt19937_64's range).
+struct PresetBits {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() { return values[next++]; }
+  std::vector<result_type> values;
+  std::size_t next = 0;
+};
+
+TEST(StochasticUpdate, CanonicalFromBitsMatchesGenerateCanonical) {
+  // Exact conversions, round-to-nearest-even ties around 2⁵³ and 2⁶³, and
+  // the outputs that round up to 2⁶⁴ and so clamp below 1.
+  constexpr std::uint64_t kTop = ~std::uint64_t{0};
+  std::vector<std::uint64_t> xs = {0,
+                                   1,
+                                   0xffffffffu,
+                                   0x100000000u,
+                                   (std::uint64_t{1} << 53) - 1,
+                                   (std::uint64_t{1} << 53) + 1,
+                                   (std::uint64_t{1} << 53) + 3,
+                                   (std::uint64_t{1} << 63) + 1024,
+                                   (std::uint64_t{1} << 63) + 3072,
+                                   kTop - 2048,
+                                   kTop - 1024,
+                                   kTop - 1023,
+                                   kTop};
+  std::mt19937_64 engine(0x5eed);
+  for (int i = 0; i < 4096; ++i) {
+    xs.push_back(engine());
+  }
+  PresetBits bits{xs};
+  for (const std::uint64_t x : xs) {
+    const double expected =
+        std::generate_canonical<double, std::numeric_limits<double>::digits>(
+            bits);
+    const double got = canonical_from_bits(x);
+    EXPECT_EQ(0, std::memcmp(&got, &expected, sizeof(double))) << "x = " << x;
+  }
+  EXPECT_EQ(canonical_from_bits(kTop), 1.0 - 0x1p-53);
+}
+
+TEST(StochasticUpdate, NegativeZeroKeepsItsBitsUnderZeroGradient) {
+  // -0.0 - (+0.0·y) can round to +0.0; equal values keep the old bits.
+  const nn::Matrix w(5, 6, -0.0);
+  expect_matches_per_cell_loop({"-0.0 weights", 8, w, nn::Matrix(1, 5, 0.0),
+                                random_batch(1, 6, 59, 1.0), 0.05});
+
+  PhotonicBackendConfig cfg;
+  cfg.stochastic_rounding = true;
+  PhotonicBackend backend(cfg);
+  nn::Matrix moved = w;
+  backend.update_batch(moved, nn::Matrix(1, 5, 0.0),
+                       random_batch(1, 6, 59, 1.0), 0.05);
+  for (double v : moved.data()) {
+    EXPECT_TRUE(std::signbit(v));
+  }
+  EXPECT_EQ(backend.ledger().weight_writes, 0u);
 }
 
 class BackendBits : public ::testing::TestWithParam<int> {};
