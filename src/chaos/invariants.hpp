@@ -94,6 +94,10 @@ inline void expect_le(InvariantReport& report, std::uint64_t lhs,
   detail::expect_eq(report, stats.sojourn.count,
                     stats.completed,
                     "sojourn samples == completed (kOk responses only)");
+  detail::expect_eq(report, stats.queue_wait.count, stats.completed,
+                    "queue-wait samples == completed");
+  detail::expect_eq(report, stats.service.count, stats.completed,
+                    "service samples == completed");
   // Tier accounting: every completed response was dispatched on exactly one
   // tier (the fast/exact knob partitions completions, fallbacks included —
   // a fast request degraded to exact counts as an exact dispatch).

@@ -24,6 +24,26 @@ class RunningStats {
     max_ = std::max(max_, x);
   }
 
+  /// Folds in a population of `n` samples summarised by its mean, sample
+  /// variance and extremes, as if each had been add()ed (Chan, Golub &
+  /// LeVeque's pairwise update).  Count and extremes are exact; the mean
+  /// and variance agree with sequential add() to rounding.
+  void combine(std::size_t n, double mean, double variance, double min,
+               double max) {
+    if (n == 0) {
+      return;
+    }
+    const auto a = static_cast<double>(n_);
+    const auto b = static_cast<double>(n);
+    const double delta = mean - mean_;
+    n_ += n;
+    mean_ = a == 0.0 ? mean : mean_ + delta * b / (a + b);
+    const double m2 = n > 1 ? variance * (b - 1.0) : 0.0;
+    m2_ += m2 + delta * delta * a * b / (a + b);
+    min_ = std::min(min_, min);
+    max_ = std::max(max_, max);
+  }
+
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const { return mean_; }
   [[nodiscard]] double variance() const {

@@ -358,18 +358,9 @@ void PhotonicBackend::update_batch(nn::Matrix& w, const nn::Matrix& dh,
                                         weight_quantizer_.step(),
                                         draws_.data());
     } else {
-      for (std::size_t r = 0; r < w.rows(); ++r) {
-        auto row = w.row(r);
-        for (std::size_t c = 0; c < row.size(); ++c) {
-          const double target = row[c] - lr * dhb[r] * yb[c];
-          const double quantized =
-              weight_quantizer_.quantize(std::clamp(target, -1.0, 1.0));
-          if (quantized != row[c]) {
-            row[c] = quantized;
-            ++changed;
-          }
-        }
-      }
+      changed = nearest_round_update(w.data().data(), w.rows(), w.cols(),
+                                     dhb.data(), yb.data(), lr,
+                                     weight_quantizer_);
     }
     // Only cells whose level actually moved receive a write pulse.
     ledger_.weight_writes += changed;

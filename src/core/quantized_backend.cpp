@@ -6,6 +6,7 @@
 #include <span>
 
 #include "common/error.hpp"
+#include "core/stochastic_update.hpp"
 #include "nn/int8_gemm.hpp"
 #include "nn/plan.hpp"
 
@@ -242,21 +243,11 @@ void QuantizedBackend::update_batch(nn::Matrix& w, const nn::Matrix& dh,
     ledger_.symbols += w.rows();
     ledger_.macs += w.size();
 
-    // Deterministic in-situ update on the weight grid: identical to a
+    // Deterministic in-situ update on the weight grid: the same step as a
     // noise-free PhotonicBackend (round-to-nearest level, sub-LSB loss).
-    std::uint64_t changed = 0;
-    for (std::size_t r = 0; r < w.rows(); ++r) {
-      auto row = w.row(r);
-      for (std::size_t c = 0; c < row.size(); ++c) {
-        const double target = row[c] - lr * dhb[r] * yb[c];
-        const double quantized =
-            weight_quantizer_.quantize(std::clamp(target, -1.0, 1.0));
-        if (quantized != row[c]) {
-          row[c] = quantized;
-          ++changed;
-        }
-      }
-    }
+    const std::uint64_t changed = nearest_round_update(
+        w.data().data(), w.rows(), w.cols(), dhb.data(), yb.data(), lr,
+        weight_quantizer_);
     ledger_.weight_writes += changed;
     if (changed > 0) {
       ledger_.program_events += 1;

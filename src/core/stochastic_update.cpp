@@ -14,6 +14,26 @@
 
 namespace trident::core {
 
+std::uint64_t nearest_round_update(double* w, std::size_t rows,
+                                   std::size_t cols, const double* dh,
+                                   const double* y, double lr,
+                                   const SymmetricQuantizer& quantizer) {
+  std::uint64_t changed = 0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    double* row = w + r * cols;
+    for (std::size_t c = 0; c < cols; ++c) {
+      const double target = row[c] - lr * dh[r] * y[c];
+      const double quantized =
+          quantizer.quantize(std::clamp(target, -1.0, 1.0));
+      if (quantized != row[c]) {
+        row[c] = quantized;
+        ++changed;
+      }
+    }
+  }
+  return changed;
+}
+
 void draw_canonical(std::mt19937_64& engine, std::span<double> u) {
   for (double& v : u) {
     v = canonical_from_bits(engine());

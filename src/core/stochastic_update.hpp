@@ -1,4 +1,5 @@
-// In-situ weight update with stochastic rounding, as two passes per sample:
+// In-situ weight updates, one sample at a time.  With stochastic rounding
+// the update runs as two passes per sample:
 // draw_canonical fills one uniform per cell from the backend's mt19937_64,
 // then stochastic_round_update applies the rank-1 step and picks each
 // cell's level.  Together they are bit-identical to a per-cell loop of
@@ -14,7 +15,18 @@
 #include <random>
 #include <span>
 
+#include "common/quantize.hpp"
+
 namespace trident::core {
+
+/// One sample's deterministic in-situ update of the row-major
+/// (rows × cols) weight matrix `w`, in place: each cell whose nearest level
+/// quantizer.quantize(clamp(w[r,c] - lr·dh[r]·y[c], -1, 1)) differs from
+/// it is stored.  Returns the number of cells stored (GST write pulses).
+std::uint64_t nearest_round_update(double* w, std::size_t rows,
+                                   std::size_t cols, const double* dh,
+                                   const double* y, double lr,
+                                   const SymmetricQuantizer& quantizer);
 
 /// The uniform draw std::generate_canonical<double, 53> makes from one
 /// 64-bit engine output x: double(x)·2⁻⁶⁴, clamped to the largest double

@@ -203,13 +203,13 @@ void Fleet::observe_response(const serving::Response& response) {
     if (response.deadline_missed) {
       acct->slo_violations.fetch_add(1, std::memory_order_relaxed);
     }
-    // Like the Server's own recorder, only kOk sojourns enter the latency
+    // Like the Server's own histogram, only kOk sojourns enter the latency
     // population (sojourn samples == completed, fleet-wide and per tenant).
     if (ok) {
-      acct->sojourn.record(response.timing.sojourn_s);
+      acct->sojourn.observe(response.timing.sojourn_s);
     }
   } else if (ok) {
-    untenanted_sojourn_.record(response.timing.sojourn_s);
+    untenanted_sojourn_.observe(response.timing.sojourn_s);
   }
 }
 
@@ -528,7 +528,7 @@ FleetStats Fleet::stats() const {
       }
       // Counters only: a live node's ledger is worker-private (zero until
       // drained, and a drained node is already folded), and the full
-      // stats() would sort latency windows and overwrite the health gauge.
+      // stats() would also summarise latency histograms not needed here.
       const serving::ServerStats ns = node->server->counters();
       s.node_accepted += ns.accepted;
       s.node_completed += ns.completed;
@@ -545,25 +545,16 @@ FleetStats Fleet::stats() const {
     s.ledger = s.ledger + folded_ledger_;
   }
 
-  // Fleet-wide exact percentiles: merge every tenant population plus the
-  // untenanted remainder into one recorder (order statistics survive the
-  // merge; averaging per-tenant p99s would not).
-  serving::LatencyRecorder all;
-  {
-    std::vector<std::shared_ptr<TenantAccount>> accounts;
-    {
-      std::lock_guard lock(tenants_mutex_);
-      accounts.reserve(tenants_by_key_.size());
-      for (const auto& [key, acct] : tenants_by_key_) {
-        accounts.push_back(acct);
-      }
-    }
-    for (const auto& acct : accounts) {
-      all.merge(acct->sojourn);
-    }
+  // Fleet-wide percentiles: merge every tenant histogram plus the
+  // untenanted remainder bucket-wise (the merged p99 is the population's;
+  // averaging per-tenant p99s would not be).
+  telemetry::Histogram all(telemetry::latency_buckets_seconds());
+  all.merge(untenanted_sojourn_.snapshot());
+  std::lock_guard lock(tenants_mutex_);
+  for (const auto& [key, acct] : tenants_by_key_) {
+    all.merge(acct->sojourn.snapshot());
   }
-  all.merge(untenanted_sojourn_);
-  s.sojourn = all.summary();
+  s.sojourn = serving::summarize(all.snapshot());
   return s;
 }
 
@@ -651,7 +642,7 @@ std::vector<TenantStats> Fleet::tenant_stats() const {
     t.completed = acct->completed.load(std::memory_order_relaxed);
     t.failed = acct->failed.load(std::memory_order_relaxed);
     t.slo_violations = acct->slo_violations.load(std::memory_order_relaxed);
-    t.sojourn = acct->sojourn.summary();
+    t.sojourn = serving::summarize(acct->sojourn.snapshot());
     out.push_back(std::move(t));
   }
   return out;

@@ -144,9 +144,10 @@ struct FleetStats {
   std::uint64_t slo_violations = 0;  ///< responses past their class deadline
   // Routing (mirror of RouterStats).
   RouterStats router;
-  /// Fleet-wide exact sojourn: per-tenant recorders merged into one
-  /// population (LatencyRecorder::merge), so cluster p99 is a true order
-  /// statistic.
+  /// Fleet-wide sojourn of every kOk response: the per-tenant and
+  /// untenanted histograms merged bucket-wise (Histogram::merge), so
+  /// cluster p99 is the whole population's, within γ − 1 = 2%, not an
+  /// average of per-tenant p99s.
   serving::LatencySummary sojourn;
   /// Summed node counters (live stats() + retired folds) for
   /// cross-checking against the front-door books.
@@ -220,7 +221,7 @@ class Fleet {
     std::atomic<std::uint64_t> completed{0};
     std::atomic<std::uint64_t> failed{0};
     std::atomic<std::uint64_t> slo_violations{0};
-    serving::LatencyRecorder sojourn;
+    telemetry::Histogram sojourn{telemetry::latency_buckets_seconds()};
     /// `trident_tenant_<sanitized name>_`: the registry family the fleet
     /// collector reports these counters under.
     std::string metric_prefix;
@@ -293,9 +294,10 @@ class Fleet {
   std::atomic<std::uint64_t> node_deaths_{0};
   std::atomic<std::uint64_t> scale_ups_{0};
   std::atomic<std::uint64_t> scale_downs_{0};
-  /// Untenanted sojourn samples (tenant_key 0 — e.g. direct node access);
-  /// tenanted samples live in their TenantAccount recorders.
-  serving::LatencyRecorder untenanted_sojourn_;
+  /// Untenanted sojourns (tenant_key 0 — e.g. direct node access);
+  /// tenanted ones live in their TenantAccount histograms.
+  telemetry::Histogram untenanted_sojourn_{
+      telemetry::latency_buckets_seconds()};
 
   /// Books of retired/dead nodes (folded at retire time).
   mutable std::mutex fold_mutex_;
@@ -317,7 +319,7 @@ class Fleet {
   /// before any counter it reads goes away.
   telemetry::CollectorHandle collector_ =
       telemetry::MetricsRegistry::global().add_collector(
-          [this](std::vector<telemetry::CounterSample>& out) {
+          [this](auto& out, auto& /*histograms*/) {
             collect_counters(out);
           });
 };

@@ -83,7 +83,7 @@ struct TenantStats {
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;
   std::uint64_t slo_violations = 0;  ///< class-deadline misses
-  serving::LatencySummary sojourn;   ///< exact per-tenant order statistics
+  serving::LatencySummary sojourn;   ///< per-tenant latency histogram summary
 };
 
 }  // namespace trident::fleet

@@ -226,7 +226,7 @@ class LearningPipeline {
   /// before any counter it reads goes away.
   telemetry::CollectorHandle collector_ =
       telemetry::MetricsRegistry::global().add_collector(
-          [this](std::vector<telemetry::CounterSample>& out) {
+          [this](auto& out, auto& /*histograms*/) {
             collect_counters(out);
           });
 };

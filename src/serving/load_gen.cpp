@@ -76,12 +76,13 @@ LoadReport run_poisson_load(
     }
   }
 
-  LatencyRecorder sojourn, queue_wait, service;
+  const auto& ladder = telemetry::latency_buckets_seconds();
+  telemetry::Histogram sojourn(ladder), queue_wait(ladder), service(ladder);
   for (auto& f : futures) {
     const Response r = f.get();
-    sojourn.record(r.timing.sojourn_s);
-    queue_wait.record(r.timing.queue_wait_s);
-    service.record(r.timing.service_s);
+    sojourn.observe(r.timing.sojourn_s);
+    queue_wait.observe(r.timing.queue_wait_s);
+    service.observe(r.timing.service_s);
   }
   const Clock::time_point end = Clock::now();
 
@@ -93,9 +94,9 @@ LoadReport run_poisson_load(
     report.completed_qps =
         static_cast<double>(report.accepted) / report.duration_s;
   }
-  report.sojourn = sojourn.summary();
-  report.queue_wait = queue_wait.summary();
-  report.service = service.summary();
+  report.sojourn = summarize(sojourn.snapshot());
+  report.queue_wait = summarize(queue_wait.snapshot());
+  report.service = summarize(service.snapshot());
   return report;
 }
 

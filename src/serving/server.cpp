@@ -27,28 +27,13 @@ struct ServerMetrics {
   telemetry::Gauge& healthy =
       reg.gauge("trident_serving_replicas_healthy",
                 "replicas currently idle or serving");
-  telemetry::Histogram& queue_wait = reg.histogram(
-      "trident_serving_queue_wait_seconds",
-      telemetry::duration_buckets_seconds(), "admission to batch cut");
   telemetry::Histogram& batch_form = reg.histogram(
       "trident_serving_batch_form_seconds",
       telemetry::duration_buckets_seconds(),
       "batch-formation window: oldest member's admission to the cut");
-  telemetry::Histogram& service = reg.histogram(
-      "trident_serving_service_seconds",
-      telemetry::duration_buckets_seconds(),
-      "batched forward pass on the replica");
-  telemetry::Histogram& sojourn = reg.histogram(
-      "trident_serving_sojourn_seconds",
-      telemetry::duration_buckets_seconds(),
-      "admission to response ready (queue wait + service)");
   telemetry::Histogram& batch_size =
       reg.histogram("trident_serving_batch_size", batch_size_buckets(),
                     "requests per served micro-batch");
-  telemetry::Gauge& p50 = reg.gauge("trident_serving_sojourn_p50_seconds",
-                                    "exact median sojourn so far");
-  telemetry::Gauge& p99 = reg.gauge("trident_serving_sojourn_p99_seconds",
-                                    "exact p99 sojourn so far");
   telemetry::Histogram& swap_latency = reg.histogram(
       "trident_serving_weight_swap_latency_seconds",
       telemetry::duration_buckets_seconds(),
@@ -328,12 +313,8 @@ bool Server::serve_batch(Replica& replica, std::vector<Request>& batch) {
     Clock::time_point oldest = batch.front().admitted;
     for (const Request& r : batch) {
       oldest = std::min(oldest, r.admitted);
-      m.queue_wait.observe(seconds_between(r.admitted, formed));
     }
     m.batch_form.observe(seconds_between(oldest, formed));
-  }
-  for (const Request& r : batch) {
-    queue_wait_.record(seconds_between(r.admitted, formed));
   }
 
   // (Tier × arm) split: a batch may mix fast and exact requests, and — when
@@ -469,8 +450,9 @@ bool Server::serve_group(Replica& replica, std::vector<Request>& group,
       response.timing.service_s = service_s;
       response.timing.sojourn_s = seconds_between(group[b].admitted, done);
 
-      service_.record(service_s);
-      sojourn_.record(response.timing.sojourn_s);
+      queue_wait_.observe(response.timing.queue_wait_s);
+      service_.observe(service_s);
+      sojourn_.observe(response.timing.sojourn_s);
       bool violated = config_.slo_target_s > 0.0 &&
                       response.timing.sojourn_s > config_.slo_target_s;
       if (group[b].deadline.has_value()) {
@@ -501,9 +483,6 @@ bool Server::serve_group(Replica& replica, std::vector<Request>& group,
         incumbent_dispatches_.fetch_add(1, std::memory_order_relaxed);
       }
       if (telem) {
-        ServerMetrics& m = server_metrics();
-        m.service.observe(service_s);
-        m.sojourn.observe(response.timing.sojourn_s);
         // Retro-dated per-request phases with the request's OWN trace id
         // (the batch span carries the head's): queue wait measured from
         // admission to the batch cut, then the service attempt.  Together
@@ -975,7 +954,6 @@ void Server::drain() {
   // requests; answer them explicitly so conservation holds.
   fail_leftovers();
   drained_ = true;
-  publish_slo_gauges(sojourn_.summary());
   // Exit dump: the black box survives the process.
   flight_autodump("exit");
 }
@@ -1022,11 +1000,12 @@ ServerStats Server::counters() const {
   return s;
 }
 
-void Server::collect_counters(
-    std::vector<telemetry::CounterSample>& out) const {
+void Server::collect(
+    std::vector<telemetry::CounterSample>& counter_out,
+    std::vector<telemetry::HistogramSample>& histogram_out) const {
   const ServerStats c = counters();
-  out.insert(
-      out.end(),
+  counter_out.insert(
+      counter_out.end(),
       {
           {"trident_serving_requests_accepted_total",
            "requests admitted into the serving queue", c.accepted},
@@ -1085,13 +1064,24 @@ void Server::collect_counters(
           {"trident_serving_canary_rollbacks_total",
            "canaries rolled back (candidate discarded)", c.canary_rollbacks},
       });
+  histogram_out.insert(
+      histogram_out.end(),
+      {
+          {"trident_serving_queue_wait_seconds", "admission to batch cut",
+           queue_wait_.snapshot()},
+          {"trident_serving_service_seconds",
+           "batched forward pass on the replica", service_.snapshot()},
+          {"trident_serving_sojourn_seconds",
+           "admission to response ready (queue wait + service)",
+           sojourn_.snapshot()},
+      });
 }
 
 ServerStats Server::stats() const {
   ServerStats s = counters();
-  s.sojourn = sojourn_.summary();
-  s.queue_wait = queue_wait_.summary();
-  s.service = service_.summary();
+  s.sojourn = summarize(sojourn_.snapshot());
+  s.queue_wait = summarize(queue_wait_.snapshot());
+  s.service = summarize(service_.snapshot());
   {
     std::lock_guard lock(drain_mutex_);
     if (drained_) {
@@ -1109,7 +1099,6 @@ ServerStats Server::stats() const {
       }
     }
   }
-  publish_slo_gauges(s.sojourn);
   return s;
 }
 
@@ -1131,14 +1120,6 @@ std::vector<ReplicaHealth> Server::health() const {
     out.push_back(h);
   }
   return out;
-}
-
-void Server::publish_slo_gauges(const LatencySummary& sojourn) const {
-  if (telemetry::enabled() && sojourn.count > 0) {
-    ServerMetrics& m = server_metrics();
-    m.p50.set(sojourn.p50_s);
-    m.p99.set(sojourn.p99_s);
-  }
 }
 
 }  // namespace trident::serving

@@ -177,8 +177,9 @@ struct ReplicaHealth {
 
 /// Point-in-time view of the runtime's own accounting (available with
 /// telemetry compiled out; the bench cross-validates these numbers).  The
-/// counters are the only copy: the metrics registry reads them at
-/// snapshot time as the trident_serving_* series.
+/// counters and the three latency histograms are the only copy: the
+/// metrics registry reads them at snapshot time as the trident_serving_*
+/// series.  Latencies cover completed responses (summarize in slo.hpp).
 struct ServerStats {
   std::uint64_t submitted = 0;
   std::uint64_t accepted = 0;
@@ -450,12 +451,11 @@ class Server {
   /// Fails everything still queued after the workers exited (all replicas
   /// dead): the explicit degraded-drain path.
   void fail_leftovers();
-  /// Publishes exact p50/p99 sojourn gauges to telemetry (no-op when
-  /// telemetry is off).
-  void publish_slo_gauges(const LatencySummary& sojourn) const;
   /// Registry collector: counters() as trident_serving_* samples (plus the
-  /// tier and canary-arm dispatch partitions).
-  void collect_counters(std::vector<telemetry::CounterSample>& out) const;
+  /// tier and canary-arm dispatch partitions) and the three latency
+  /// histograms.
+  void collect(std::vector<telemetry::CounterSample>& counter_out,
+               std::vector<telemetry::HistogramSample>& histogram_out) const;
 
   ServerConfig config_;
   nn::Mlp model_;  ///< construction-time model: the serving architecture
@@ -503,9 +503,10 @@ class Server {
   std::atomic<std::uint64_t> canary_rollbacks_{0};
   std::atomic<std::uint64_t> canary_dispatches_{0};
   std::atomic<std::uint64_t> incumbent_dispatches_{0};
-  LatencyRecorder sojourn_;
-  LatencyRecorder queue_wait_;
-  LatencyRecorder service_;
+  /// One observation per completed response in each.
+  telemetry::Histogram sojourn_{telemetry::latency_buckets_seconds()};
+  telemetry::Histogram queue_wait_{telemetry::latency_buckets_seconds()};
+  telemetry::Histogram service_{telemetry::latency_buckets_seconds()};
 
   /// Bills of incarnations that died (folded in at restart/drain).
   mutable std::mutex ledger_mutex_;
@@ -525,11 +526,11 @@ class Server {
   bool drained_ = false;
 
   /// Last member: destroyed first, so the registry folds the final counts
-  /// before any counter it reads goes away.
+  /// and histograms before any instrument it reads goes away.
   telemetry::CollectorHandle collector_ =
       telemetry::MetricsRegistry::global().add_collector(
-          [this](std::vector<telemetry::CounterSample>& out) {
-            collect_counters(out);
+          [this](auto& counter_out, auto& histogram_out) {
+            collect(counter_out, histogram_out);
           });
 };
 

@@ -41,82 +41,18 @@ WindowComparison compare_latency_windows(const std::vector<double>& incumbent,
   return cmp;
 }
 
-LatencyRecorder::LatencyRecorder(std::size_t cap) : cap_(cap) {}
-
-void LatencyRecorder::record(double seconds) {
-  std::lock_guard lock(mutex_);
-  if (samples_.size() >= cap_) {
-    ++dropped_;
-    return;
-  }
-  samples_.push_back(seconds);
-}
-
-void LatencyRecorder::merge(const LatencyRecorder& other) {
-  if (&other == this) {
-    return;
-  }
-  // Copy out under the source lock, then fold under the destination lock:
-  // never both at once, so two threads cross-merging recorders cannot
-  // deadlock on lock order.
-  std::vector<double> theirs;
-  std::uint64_t their_dropped = 0;
-  {
-    std::lock_guard lock(other.mutex_);
-    theirs = other.samples_;
-    their_dropped = other.dropped_;
-  }
-  std::lock_guard lock(mutex_);
-  dropped_ += their_dropped;
-  for (double v : theirs) {
-    if (samples_.size() >= cap_) {
-      ++dropped_;
-      continue;
-    }
-    samples_.push_back(v);
-  }
-}
-
-LatencySummary LatencyRecorder::summary() const {
-  std::vector<double> sorted;
-  {
-    std::lock_guard lock(mutex_);
-    sorted = samples_;
-  }
+LatencySummary summarize(const telemetry::HistogramSnapshot& h) {
   LatencySummary s;
-  if (sorted.empty()) {
+  if (h.count == 0) {
     return s;
   }
-  std::sort(sorted.begin(), sorted.end());
-  s.count = sorted.size();
-  double sum = 0.0;
-  for (double v : sorted) {
-    sum += v;
-  }
-  s.mean_s = sum / static_cast<double>(sorted.size());
-  // Same order statistic exact_quantile computes; the input is already
-  // sorted so the indexed read is direct.
-  const auto at = [&](double q) {
-    const auto idx = static_cast<std::size_t>(
-        q * static_cast<double>(sorted.size() - 1));
-    return sorted[idx];
-  };
-  s.p50_s = at(0.50);
-  s.p90_s = at(0.90);
-  s.p99_s = at(0.99);
-  s.max_s = sorted.back();
+  s.count = h.count;
+  s.mean_s = h.sum / static_cast<double>(h.count);
+  s.p50_s = h.quantile(0.50);
+  s.p90_s = h.quantile(0.90);
+  s.p99_s = h.quantile(0.99);
+  s.max_s = h.max;
   return s;
-}
-
-std::uint64_t LatencyRecorder::dropped() const {
-  std::lock_guard lock(mutex_);
-  return dropped_;
-}
-
-void LatencyRecorder::clear() {
-  std::lock_guard lock(mutex_);
-  samples_.clear();
-  dropped_ = 0;
 }
 
 }  // namespace trident::serving

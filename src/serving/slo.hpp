@@ -1,18 +1,18 @@
-// Latency recording and SLO accounting for the serving runtime.
+// Latency summaries and SLO accounting for the serving runtime.
 //
-// The runtime must report p50/p99 sojourn times even when telemetry is
-// compiled out (the bench cross-validates them against the M/D/1 model),
-// so the recorder here is plain library code: a mutex-protected sample
-// buffer with exact order-statistic percentiles.  Telemetry histograms
-// mirror the same observations when enabled — those give the *bucketed*
-// estimates exported to Prometheus/JSON; this gives the exact ones used
-// in reports and tests.
+// Every serving latency is recorded once, in a telemetry::Histogram on the
+// fixed latency ladder (telemetry::latency_buckets_seconds(), γ = 1.02).
+// It is plain library code, so latencies are reported with telemetry
+// compiled out too.  A summary's count, mean and max are exact and its
+// percentiles within γ − 1 of the exact order statistic.  The canary's
+// exact windows keep their own samples and use exact_quantile.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <vector>
+
+#include "telemetry/metrics.hpp"
 
 namespace trident::serving {
 
@@ -25,6 +25,11 @@ struct LatencySummary {
   double p99_s = 0.0;
   double max_s = 0.0;
 };
+
+/// Summary of one latency histogram: count and max exact, mean = sum /
+/// count, p50/p90/p99 from HistogramSnapshot::quantile; all zeros when the
+/// histogram is empty.
+[[nodiscard]] LatencySummary summarize(const telemetry::HistogramSnapshot& h);
 
 /// Exact order-statistic quantile of one sample window: sorts a copy and
 /// returns element floor(q * (n-1)).  Total over every window shape the
@@ -59,39 +64,5 @@ struct WindowComparison {
 [[nodiscard]] WindowComparison compare_latency_windows(
     const std::vector<double>& incumbent, const std::vector<double>& candidate,
     std::size_t min_samples, double q = 0.99);
-
-/// Thread-safe sample recorder with exact percentiles.  Bounded: beyond
-/// `cap` samples new observations are dropped (and counted) so a runaway
-/// load test cannot grow memory without bound.
-class LatencyRecorder {
- public:
-  explicit LatencyRecorder(std::size_t cap = 1u << 20);
-
-  void record(double seconds);
-
-  /// Folds another recorder's samples into this one — the fleet-wide
-  /// aggregation primitive: per-node recorders merge into one population so
-  /// cluster p50/p99 are exact order statistics, not an average of per-node
-  /// percentiles (which would be meaningless for tails).  Samples beyond
-  /// this recorder's cap are dropped and counted, and the other recorder's
-  /// own drop count carries over, so `summary().count + dropped()` stays
-  /// conserved across any merge tree.  Safe against concurrent record()
-  /// on either side; merging a recorder into itself is a no-op.
-  void merge(const LatencyRecorder& other);
-
-  /// Exact order-statistic summary of everything recorded so far.
-  [[nodiscard]] LatencySummary summary() const;
-
-  /// Observations dropped because the cap was reached.
-  [[nodiscard]] std::uint64_t dropped() const;
-
-  void clear();
-
- private:
-  const std::size_t cap_;
-  mutable std::mutex mutex_;
-  std::vector<double> samples_;
-  std::uint64_t dropped_ = 0;
-};
 
 }  // namespace trident::serving

@@ -212,9 +212,8 @@ void write_prometheus(const MetricsSnapshot& snapshot, std::ostream& os) {
   // numbers are scrape-able without a histogram_quantile() query.  They
   // cannot live inside the histogram family: the OpenMetrics grammar
   // only allows _bucket/_sum/_count samples under `# TYPE ... histogram`.
-  // A registered metric that already owns the companion name wins — e.g.
-  // the serving runtime exports exact-order-statistic sojourn p50/p99
-  // gauges under the same names the estimate would take.
+  // A registered metric that already owns the companion name wins, so a
+  // scrape never carries two families of one name.
   std::unordered_set<std::string_view> taken;
   for (const auto& c : snapshot.counters) {
     taken.insert(c.name);

@@ -231,7 +231,9 @@ HealthSample HealthMonitor::sample_registry(double t_s) {
       snap.counter_value("trident_serving_slo_violations_total");
   s.shed = snap.counter_value("trident_serving_requests_shed_total");
   s.degraded = snap.counter_value("trident_serving_requests_failed_total");
-  s.p99_s = snap.gauge_value("trident_serving_sojourn_p99_seconds");
+  const HistogramSnapshot* soj =
+      snap.histogram_data("trident_serving_sojourn_seconds");
+  s.p99_s = soj != nullptr && soj->count > 0 ? soj->quantile(0.99) : 0.0;
   return s;
 }
 

@@ -48,7 +48,7 @@ struct HealthSample {
   std::uint64_t shed = 0;            ///< admission-rejected requests
   std::uint64_t degraded = 0;        ///< failed/degraded responses
 
-  double p99_s = 0.0;                  ///< sojourn p99 gauge (0 = unknown)
+  double p99_s = 0.0;                  ///< sojourn p99, seconds (0 = unknown)
   double energy_per_inference_j = 0.0; ///< derived gauge (0 = unknown)
 };
 
@@ -124,8 +124,9 @@ class HealthMonitor {
   /// (`trident_serving_requests_completed_total`,
   /// `trident_serving_slo_violations_total`,
   /// `trident_serving_requests_shed_total`,
-  /// `trident_serving_requests_failed_total`,
-  /// `trident_serving_sojourn_p99_seconds`).  `energy_per_inference_j`
+  /// `trident_serving_requests_failed_total`, and the p99 of the
+  /// `trident_serving_sojourn_seconds` histogram merged over every live
+  /// and retired server; 0 before any response).  `energy_per_inference_j`
   /// stays 0 — energy is ledger-derived, so callers that track a ledger
   /// fill it in themselves.
   [[nodiscard]] static HealthSample sample_registry(double t_s);

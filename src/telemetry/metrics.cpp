@@ -27,6 +27,30 @@ namespace {
   });
 }
 
+/// Sorts samples by name (stable, so earlier entries keep their help
+/// string ahead of later ones) and folds each run of equal names into one
+/// with `combine`.
+template <typename Sample, typename Combine>
+void merge_by_name(std::vector<Sample>& samples, Combine combine) {
+  std::stable_sort(samples.begin(), samples.end(),
+                   [](const Sample& a, const Sample& b) {
+                     return a.name < b.name;
+                   });
+  std::vector<Sample> merged;
+  merged.reserve(samples.size());
+  for (Sample& x : samples) {
+    if (!merged.empty() && merged.back().name == x.name) {
+      combine(merged.back(), x);
+      if (merged.back().help.empty()) {
+        merged.back().help = std::move(x.help);
+      }
+    } else {
+      merged.push_back(std::move(x));
+    }
+  }
+  samples = std::move(merged);
+}
+
 }  // namespace
 
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
@@ -44,6 +68,19 @@ void Histogram::observe(double x) {
   ++counts_[bucket];
   stats_.add(x);
   sum_ += x;
+}
+
+void Histogram::merge(const HistogramSnapshot& other) {
+  TRIDENT_REQUIRE(other.bounds == bounds_ &&
+                      other.counts.size() == counts_.size(),
+                  "merged histograms must share their bucket bounds");
+  std::lock_guard lock(mutex_);
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    counts_[i] += other.counts[i];
+  }
+  stats_.combine(other.count, other.mean, other.stddev * other.stddev,
+                 other.min, other.max);
+  sum_ += other.sum;
 }
 
 HistogramSnapshot Histogram::snapshot() const {
@@ -106,6 +143,17 @@ std::vector<double> duration_buckets_seconds() {
           1e-2, 3e-2, 1e-1, 3e-1, 1.0,  3.0,  10.0};
 }
 
+const std::vector<double>& latency_buckets_seconds() {
+  static const std::vector<double> bounds = [] {
+    std::vector<double> b(1048);  // 1e-7 · 1.02^1047 ≈ 102 s
+    for (std::size_t k = 0; k < b.size(); ++k) {
+      b[k] = 1e-7 * std::pow(kLatencyBucketRatio, static_cast<double>(k));
+    }
+    return b;
+  }();
+  return bounds;
+}
+
 std::uint64_t MetricsSnapshot::counter_value(const std::string& name) const {
   for (const auto& c : counters) {
     if (c.name == name) {
@@ -122,6 +170,16 @@ double MetricsSnapshot::gauge_value(const std::string& name) const {
     }
   }
   return 0.0;
+}
+
+const HistogramSnapshot* MetricsSnapshot::histogram_data(
+    const std::string& name) const {
+  for (const auto& h : histograms) {
+    if (h.name == name) {
+      return &h.data;
+    }
+  }
+  return nullptr;
 }
 
 MetricsRegistry& MetricsRegistry::global() {
@@ -174,7 +232,7 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
 
 CollectorHandle::~CollectorHandle() { registry_.remove_collector(id_); }
 
-CollectorHandle MetricsRegistry::add_collector(CounterCollector collect) {
+CollectorHandle MetricsRegistry::add_collector(Collector collect) {
   std::lock_guard lock(collectors_mutex_);
   const std::uint64_t id = next_collector_id_++;
   collectors_.emplace(id, std::move(collect));
@@ -187,11 +245,15 @@ void MetricsRegistry::remove_collector(std::uint64_t id) {
   // values either live or folded, never neither.
   std::lock_guard lock(collectors_mutex_);
   const auto it = collectors_.find(id);
-  std::vector<CounterSample> last;
-  it->second(last);
+  std::vector<CounterSample> counters;
+  std::vector<HistogramSample> histograms;
+  it->second(counters, histograms);
   collectors_.erase(it);
-  for (const CounterSample& c : last) {
+  for (const CounterSample& c : counters) {
     counter(c.name, c.help).add(c.value);
+  }
+  for (const HistogramSample& h : histograms) {
+    histogram(h.name, h.data.bounds, h.help).merge(h.data);
   }
 }
 
@@ -214,28 +276,21 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     }
   }
   // Collectors run without mutex_, so one may take its owner's locks (see
-  // the rules on add_collector).  Owned counters come first, so the stable
-  // sort keeps their help string ahead of a collector's.
+  // the rules on add_collector).  Owned instruments come first, so the
+  // stable merge keeps their help string ahead of a collector's.
   for (const auto& [id, collect] : collectors_) {
-    collect(s.counters);
+    collect(s.counters, s.histograms);
   }
-  std::stable_sort(s.counters.begin(), s.counters.end(),
-                   [](const CounterSample& a, const CounterSample& b) {
-                     return a.name < b.name;
-                   });
-  std::vector<CounterSample> merged;
-  merged.reserve(s.counters.size());
-  for (CounterSample& c : s.counters) {
-    if (!merged.empty() && merged.back().name == c.name) {
-      merged.back().value += c.value;
-      if (merged.back().help.empty()) {
-        merged.back().help = std::move(c.help);
-      }
-    } else {
-      merged.push_back(std::move(c));
-    }
-  }
-  s.counters = std::move(merged);
+  merge_by_name(s.counters, [](CounterSample& into, const CounterSample& c) {
+    into.value += c.value;
+  });
+  merge_by_name(s.histograms,
+                [](HistogramSample& into, const HistogramSample& h) {
+                  Histogram sum(into.data.bounds);
+                  sum.merge(into.data);
+                  sum.merge(h.data);
+                  into.data = sum.snapshot();
+                });
   return s;
 }
 

@@ -24,25 +24,27 @@
 // never record on their own — call sites guard with telemetry::enabled(),
 // so the disabled path costs one branch on a relaxed atomic.
 //
-// Objects that already keep their own always-on counters (a serving
-// Server, a Fleet, a LearningPipeline) do not push a second copy.  They
-// register a collector that reads those counters when snapshot() runs,
-// and hold the returned handle as their LAST member, so it is destroyed
-// before the counters it reads:
+// Objects that already keep their own always-on counters or latency
+// histograms (a serving Server, a Fleet, a LearningPipeline) do not push a
+// second copy.  They register a collector that reads those instruments
+// when snapshot() runs, and hold the returned handle as their LAST member,
+// so it is destroyed before the instruments it reads:
 //
 //   class Owner {
-//     std::atomic<std::uint64_t> served_{0};
+//     telemetry::Histogram latency_{telemetry::latency_buckets_seconds()};
 //     telemetry::CollectorHandle collector_ =
 //         telemetry::MetricsRegistry::global().add_collector(
-//             [this](std::vector<telemetry::CounterSample>& out) {
-//               out.push_back({"trident_owner_served_total", "requests served",
-//                              served_.load(std::memory_order_relaxed)});
+//             [this](std::vector<telemetry::CounterSample>& counters,
+//                    std::vector<telemetry::HistogramSample>& histograms) {
+//               histograms.push_back({"trident_owner_latency_seconds",
+//                                     "request latency", latency_.snapshot()});
 //             });
 //   };
 //
 // Samples merge by name: several live owners and the registry's own
-// counter of that name sum into one series.  When a handle is destroyed
-// its final values fold into the registry's own counter, so exported
+// instrument of that name sum into one series (histograms bucket-wise, so
+// they must share one bucket ladder).  When a handle is destroyed its
+// final values fold into the registry's own instruments, so exported
 // totals stay monotonic after the owner is gone.
 //
 // References returned by the registry are stable for the process lifetime
@@ -126,10 +128,12 @@ class Histogram {
   explicit Histogram(std::vector<double> bounds);
 
   void observe(double x);
+  /// Adds a snapshot with the same bounds, as if its samples were observed
+  /// here: bucket counts, count, min, max and sum exactly, mean and stddev
+  /// to rounding (RunningStats::combine).
+  void merge(const HistogramSnapshot& other);
   [[nodiscard]] HistogramSnapshot snapshot() const;
   void reset();
-
-  [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
 
  private:
   mutable std::mutex mutex_;
@@ -142,6 +146,15 @@ class Histogram {
 /// Default bucket ladder for kernel / task durations in seconds
 /// (1 µs … 10 s, decade-and-a-half steps).
 [[nodiscard]] std::vector<double> duration_buckets_seconds();
+
+/// Ratio of adjacent bounds on the latency ladder.
+inline constexpr double kLatencyBucketRatio = 1.02;
+
+/// The one ladder for request latencies, built once per process: 1048
+/// bounds 100 ns · γ^k (γ = kLatencyBucketRatio), up to ~102 s.  Inside
+/// it, HistogramSnapshot::quantile is within γ − 1 of the exact order
+/// statistic at the rank it targets.
+[[nodiscard]] const std::vector<double>& latency_buckets_seconds();
 
 struct CounterSample {
   std::string name;
@@ -171,17 +184,22 @@ struct MetricsSnapshot {
   [[nodiscard]] std::uint64_t counter_value(const std::string& name) const;
   /// Gauge value by exact name; 0.0 when absent.
   [[nodiscard]] double gauge_value(const std::string& name) const;
+  /// Histogram by exact name; null when absent.
+  [[nodiscard]] const HistogramSnapshot* histogram_data(
+      const std::string& name) const;
 };
 
-/// Appends an owner's current counter values at snapshot time.
-using CounterCollector = std::function<void(std::vector<CounterSample>&)>;
+/// Appends an owner's current counter values and histograms at snapshot
+/// time.
+using Collector = std::function<void(std::vector<CounterSample>&,
+                                     std::vector<HistogramSample>&)>;
 
 class MetricsRegistry;
 
-/// RAII registration of a CounterCollector.  Destruction collects one
-/// last time, folds those values into the registry's own counters of the
-/// same names, and unregisters — blocking until any snapshot in progress
-/// has finished, so no scrape ever calls into a destroyed owner.
+/// RAII registration of a Collector.  Destruction collects one last time,
+/// folds those values into the registry's own counters and histograms of
+/// the same names, and unregisters — blocking until any snapshot in
+/// progress has finished, so no scrape ever calls into a destroyed owner.
 class CollectorHandle {
  public:
   CollectorHandle(const CollectorHandle&) = delete;
@@ -215,8 +233,9 @@ class MetricsRegistry {
                        const std::string& help = "");
 
   /// Registers `collect`, called by every snapshot() from then on.  Its
-  /// samples merge with the registry's own counters by name (values
-  /// summed, the first non-empty help string wins).
+  /// samples merge with the registry's own instruments by name (counter
+  /// values summed, histograms merged bucket-wise, the first non-empty
+  /// help string wins).
   ///
   /// Locking rules:
   ///   * Collectors run outside the instrument mutex, under a collectors
@@ -224,10 +243,10 @@ class MetricsRegistry {
   ///   * A collector may take only locks under which no code registers or
   ///     drops a collector (constructs or destroys a collector owner) or
   ///     calls snapshot(); otherwise a scrape and that code deadlock.
-  [[nodiscard]] CollectorHandle add_collector(CounterCollector collect);
+  [[nodiscard]] CollectorHandle add_collector(Collector collect);
 
-  /// Owned counters merged with every live collector's samples, sorted by
-  /// name with each name once.
+  /// Owned instruments merged with every live collector's samples, sorted
+  /// by name with each name once.
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
   /// Zeroes every owned instrument's value (registrations and the
@@ -242,7 +261,7 @@ class MetricsRegistry {
 
   /// Taken before mutex_ wherever both are held.
   mutable std::mutex collectors_mutex_;
-  std::map<std::uint64_t, CounterCollector> collectors_;
+  std::map<std::uint64_t, Collector> collectors_;
   std::uint64_t next_collector_id_ = 1;
 
   mutable std::mutex mutex_;

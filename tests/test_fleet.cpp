@@ -469,23 +469,23 @@ TEST(FleetTelemetry, RetiringANodeKeepsServingTotalsMonotonic) {
   EXPECT_EQ(counter("trident_tenant_t_requests_submitted_total"), 32u);
 }
 
-TEST(FleetTelemetry, FleetQueriesLeaveTheSojournGaugeAlone) {
-  if (!telemetry::compiled_in()) {
-    GTEST_SKIP() << "built with -DTRIDENT_TELEMETRY=OFF";
-  }
+TEST(FleetTelemetry, FleetQueriesLeaveTheSojournHistogramAlone) {
   reset_telemetry();
   Fleet fleet(test_model(), small_fleet(2));
   (void)fleet.register_tenant({.name = "t", .klass = TenantClass::kGold});
   serve_sixteen(fleet);
 
-  // HealthMonitor reads this gauge; a fleet query polls every node and
-  // must not overwrite it with whichever node it happened to read last.
-  telemetry::Gauge& p99 = telemetry::MetricsRegistry::global().gauge(
-      "trident_serving_sojourn_p99_seconds");
-  p99.set(42.0);
+  // HealthMonitor reads this histogram; a fleet query polls every node and
+  // must record nothing into it.
+  const auto sojourns = [] {
+    const telemetry::MetricsSnapshot snap =
+        telemetry::MetricsRegistry::global().snapshot();
+    return snap.histogram_data("trident_serving_sojourn_seconds")->count;
+  };
+  EXPECT_EQ(sojourns(), 16u);
   (void)fleet.stats();
   (void)fleet.node_status();
-  EXPECT_EQ(p99.value(), 42.0);
+  EXPECT_EQ(sojourns(), 16u);
   fleet.drain();
 }
 

@@ -1,5 +1,7 @@
 // SLO burn-rate health monitor: multi-window classification, hysteresis,
 // gauge limits, registry publication, and the transition callback.
+#include <chrono>
+#include <future>
 #include <string>
 #include <utility>
 #include <vector>
@@ -199,11 +201,13 @@ TEST_F(HealthTest, SampleRegistryReadsServingMetrics) {
     GTEST_SKIP() << "built with -DTRIDENT_TELEMETRY=OFF";
   }
   MetricsRegistry& reg = MetricsRegistry::global();
+  reg.reset_values();
   reg.counter("trident_serving_requests_completed_total").add(7);
   reg.counter("trident_serving_slo_violations_total").add(2);
   reg.counter("trident_serving_requests_shed_total").add(3);
   reg.counter("trident_serving_requests_failed_total").add(1);
-  reg.gauge("trident_serving_sojourn_p99_seconds").set(0.125);
+  reg.histogram("trident_serving_sojourn_seconds", latency_buckets_seconds())
+      .observe(0.125);
 
   const HealthSample s = HealthMonitor::sample_registry(42.0);
   EXPECT_DOUBLE_EQ(s.t_s, 42.0);
@@ -248,6 +252,37 @@ TEST_F(HealthTest, SampleRegistryCountsAdmissionBlipSheds) {
   // The sampler reads the registry, which reads the server's own shed
   // count — admission-control and chaos-blip sheds alike.
   EXPECT_GE(HealthMonitor::sample_registry(0.0).shed, blipped);
+}
+
+TEST_F(HealthTest, SampleRegistryP99IsTheMergedP99OfLiveServers) {
+  MetricsRegistry::global().reset_values();
+  // Two live servers with different latency populations: `slow` holds
+  // every request for its whole batching window.
+  serving::Server fast(small_model(), small_server());
+  serving::ServerConfig slow_cfg = small_server();
+  slow_cfg.max_batch = 64;
+  slow_cfg.max_wait = std::chrono::microseconds(2000);
+  serving::Server slow(small_model(), slow_cfg);
+  // The same sojourns observed into one histogram on the same ladder.
+  Histogram expected(latency_buckets_seconds());
+  const auto serve = [&expected](serving::Server& server, int n) {
+    for (int i = 0; i < n; ++i) {
+      auto fut = server.submit(nn::Vector{0.1, -0.2, 0.3, -0.4});
+      ASSERT_TRUE(fut.has_value());
+      expected.observe(fut->get().timing.sojourn_s);
+    }
+  };
+  serve(fast, 40);
+  serve(slow, 10);
+  // Per-server queries have no side effect on what the monitor reads.
+  for (int i = 0; i < 3; ++i) {
+    (void)fast.stats();
+    (void)slow.stats();
+  }
+  const double p99 = expected.snapshot().quantile(0.99);
+  EXPECT_EQ(HealthMonitor::sample_registry(0.0).p99_s, p99);
+  (void)slow.stats();
+  EXPECT_EQ(HealthMonitor::sample_registry(0.0).p99_s, p99);
 }
 
 TEST_F(HealthTest, SampleRegistrySumsOwnedCountersWithLiveServers) {

@@ -233,25 +233,37 @@ TEST(RequestQueue, CloseWakesBlockedProducersWithClosed) {
   EXPECT_EQ(q.push(late), AdmitResult::kClosed);
 }
 
-// --- latency recorder -------------------------------------------------------
+// --- latency recording: summarize() over the latency ladder ---------------
+// A server records each latency once, in a telemetry::Histogram on
+// telemetry::latency_buckets_seconds(); these pin what summarize() gives.
 
-TEST(LatencyRecorder, ExactOrderStatistics) {
-  LatencyRecorder rec;
-  for (int i = 100; i >= 1; --i) {
-    rec.record(static_cast<double>(i));
+/// Summary of `samples` observed into one latency-ladder histogram.
+LatencySummary summarize_samples(const std::vector<double>& samples) {
+  telemetry::Histogram h(telemetry::latency_buckets_seconds());
+  for (double v : samples) {
+    h.observe(v);
   }
-  const LatencySummary s = rec.summary();
+  return summarize(h.snapshot());
+}
+
+TEST(LatencyRecorder, CountMeanAndMaxAreExactPercentilesWithinTheLadder) {
+  std::vector<double> samples;
+  for (int i = 100; i >= 1; --i) {
+    samples.push_back(static_cast<double>(i));
+  }
+  const LatencySummary s = summarize_samples(samples);
   EXPECT_EQ(s.count, 100u);
   EXPECT_DOUBLE_EQ(s.mean_s, 50.5);
-  EXPECT_DOUBLE_EQ(s.p50_s, 50.0);
-  EXPECT_DOUBLE_EQ(s.p99_s, 99.0);
   EXPECT_DOUBLE_EQ(s.max_s, 100.0);
+  // quantile() targets rank ceil(q·n): the 50th and 99th smallest.
+  const double tol = telemetry::kLatencyBucketRatio - 1.0;
+  EXPECT_NEAR(s.p50_s, 50.0, 50.0 * tol);
+  EXPECT_NEAR(s.p90_s, 90.0, 90.0 * tol);
+  EXPECT_NEAR(s.p99_s, 99.0, 99.0 * tol);
 }
 
 TEST(LatencyRecorder, SingletonSampleIsEveryPercentile) {
-  LatencyRecorder rec;
-  rec.record(3.25);
-  const LatencySummary s = rec.summary();
+  const LatencySummary s = summarize_samples({3.25});
   EXPECT_EQ(s.count, 1u);
   EXPECT_DOUBLE_EQ(s.mean_s, 3.25);
   EXPECT_DOUBLE_EQ(s.p50_s, 3.25);
@@ -261,100 +273,82 @@ TEST(LatencyRecorder, SingletonSampleIsEveryPercentile) {
 }
 
 TEST(LatencyRecorder, TiedSamplesYieldExactPercentiles) {
-  // Order statistics on an all-tied population must return the tied value
-  // exactly for every percentile (no interpolation drift).
-  LatencyRecorder rec;
-  for (int i = 0; i < 7; ++i) {
-    rec.record(2.0);
-  }
-  const LatencySummary s = rec.summary();
+  // An all-tied population pins the containing bucket's edges to the
+  // observed min and max, so every percentile is the tied value exactly.
+  const LatencySummary s = summarize_samples(std::vector<double>(7, 2.0));
   EXPECT_DOUBLE_EQ(s.p50_s, 2.0);
   EXPECT_DOUBLE_EQ(s.p90_s, 2.0);
   EXPECT_DOUBLE_EQ(s.p99_s, 2.0);
   EXPECT_DOUBLE_EQ(s.max_s, 2.0);
   EXPECT_DOUBLE_EQ(s.mean_s, 2.0);
 
-  // Mostly-tied with one outlier: the median sits on the tie, the max on
-  // the outlier.
-  LatencyRecorder mixed;
-  for (int i = 0; i < 9; ++i) {
-    mixed.record(1.0);
-  }
-  mixed.record(10.0);
-  const LatencySummary m = mixed.summary();
-  EXPECT_DOUBLE_EQ(m.p50_s, 1.0);
+  // Mostly-tied with one outlier: the median sits on the tie's bucket, the
+  // max on the outlier.
+  std::vector<double> mixed(9, 1.0);
+  mixed.push_back(10.0);
+  const LatencySummary m = summarize_samples(mixed);
+  EXPECT_NEAR(m.p50_s, 1.0, telemetry::kLatencyBucketRatio - 1.0);
   EXPECT_DOUBLE_EQ(m.max_s, 10.0);
 }
 
 TEST(LatencyRecorder, EmptySummaryIsZero) {
-  const LatencySummary s = LatencyRecorder().summary();
+  const LatencySummary s = summarize_samples({});
   EXPECT_EQ(s.count, 0u);
+  EXPECT_DOUBLE_EQ(s.mean_s, 0.0);
   EXPECT_DOUBLE_EQ(s.p50_s, 0.0);
   EXPECT_DOUBLE_EQ(s.p99_s, 0.0);
+  EXPECT_DOUBLE_EQ(s.max_s, 0.0);
 }
 
-TEST(LatencyRecorder, CapBoundsMemory) {
-  LatencyRecorder rec(4);
-  for (int i = 0; i < 10; ++i) {
-    rec.record(1.0);
+TEST(LatencyRecorder, CountsEverySamplePastTheOldCap) {
+  // The sample recorder this replaced stopped counting at 2^20, which
+  // broke `sojourn samples == completed` on a long-running server.
+  constexpr std::uint64_t kSamples = (1u << 20) + 5;
+  telemetry::Histogram h(telemetry::latency_buckets_seconds());
+  for (std::uint64_t i = 0; i < kSamples; ++i) {
+    h.observe(1e-5 * static_cast<double>(1 + i % 7));
   }
-  EXPECT_EQ(rec.summary().count, 4u);
-  EXPECT_EQ(rec.dropped(), 6u);
+  EXPECT_EQ(summarize(h.snapshot()).count, kSamples);
 }
 
 TEST(LatencyRecorder, MergeEqualsSingleRecorderOverTheUnion) {
-  // The fleet-wide aggregation property: merging per-node recorders must
-  // give the same exact order statistics as one recorder that saw every
-  // sample.  An average of per-node p99s would not — tails don't average.
-  LatencyRecorder a;
-  LatencyRecorder b;
-  LatencyRecorder all;
+  // The fleet-wide aggregation property: merging per-node histograms must
+  // give the same summary as one histogram that saw every sample.  An
+  // average of per-node p99s would not — tails don't average.
+  const auto& ladder = telemetry::latency_buckets_seconds();
+  telemetry::Histogram a(ladder);
+  telemetry::Histogram b(ladder);
+  telemetry::Histogram all(ladder);
   for (int i = 1; i <= 100; ++i) {
     const double v = static_cast<double>(i);
-    (i % 2 == 0 ? a : b).record(v);
-    all.record(v);
+    (i % 2 == 0 ? a : b).observe(v);
+    all.observe(v);
   }
-  a.merge(b);
-  const LatencySummary merged = a.summary();
-  const LatencySummary expected = all.summary();
+  a.merge(b.snapshot());
+  const LatencySummary merged = summarize(a.snapshot());
+  const LatencySummary expected = summarize(all.snapshot());
   EXPECT_EQ(merged.count, expected.count);
   EXPECT_DOUBLE_EQ(merged.mean_s, expected.mean_s);
   EXPECT_DOUBLE_EQ(merged.p50_s, expected.p50_s);
   EXPECT_DOUBLE_EQ(merged.p90_s, expected.p90_s);
   EXPECT_DOUBLE_EQ(merged.p99_s, expected.p99_s);
   EXPECT_DOUBLE_EQ(merged.max_s, expected.max_s);
-  // The source recorder is untouched.
-  EXPECT_EQ(b.summary().count, 50u);
+  // The source histogram is untouched.
+  EXPECT_EQ(b.snapshot().count, 50u);
 }
 
-TEST(LatencyRecorder, MergeConservesCountPlusDroppedAcrossCaps) {
-  LatencyRecorder small(4);
-  LatencyRecorder other;
-  for (int i = 0; i < 3; ++i) {
-    small.record(1.0);
-  }
-  for (int i = 0; i < 5; ++i) {
-    other.record(2.0);
-  }
-  small.merge(other);
-  // 3 own + 1 merged fit under the cap of 4; the other 4 merged samples
-  // are dropped and counted, so count + dropped stays conserved.
-  EXPECT_EQ(small.summary().count, 4u);
-  EXPECT_EQ(small.dropped(), 4u);
-}
-
-TEST(LatencyRecorder, MergeWithSelfAndEmptyAreNoOps) {
-  LatencyRecorder rec;
-  rec.record(1.0);
-  rec.record(2.0);
-  rec.merge(rec);
-  EXPECT_EQ(rec.summary().count, 2u);
-  LatencyRecorder empty;
-  rec.merge(empty);
-  EXPECT_EQ(rec.summary().count, 2u);
-  empty.merge(rec);
-  EXPECT_EQ(empty.summary().count, 2u);
-  EXPECT_DOUBLE_EQ(empty.summary().max_s, 2.0);
+TEST(LatencyRecorder, MergeWithEmptyIsANoOp) {
+  const auto& ladder = telemetry::latency_buckets_seconds();
+  telemetry::Histogram h(ladder);
+  h.observe(1.0);
+  h.observe(2.0);
+  telemetry::Histogram empty(ladder);
+  h.merge(empty.snapshot());
+  EXPECT_EQ(h.snapshot().count, 2u);
+  EXPECT_DOUBLE_EQ(summarize(h.snapshot()).mean_s, 1.5);
+  empty.merge(h.snapshot());
+  EXPECT_EQ(empty.snapshot().count, 2u);
+  EXPECT_DOUBLE_EQ(summarize(empty.snapshot()).max_s, 2.0);
 }
 
 // --- server end-to-end ------------------------------------------------------
@@ -451,6 +445,10 @@ TEST(Server, DrainDeliversEveryAcceptedRequest) {
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_EQ(stats.shed, 0u);
   EXPECT_GE(stats.batches, 200u / cfg.max_batch);
+  // One record of each latency per completed response.
+  EXPECT_EQ(stats.sojourn.count, stats.completed);
+  EXPECT_EQ(stats.queue_wait.count, stats.completed);
+  EXPECT_EQ(stats.service.count, stats.completed);
   // Post-drain, the aggregate hardware ledger is visible: every replica
   // programmed its bank exactly twice (two weight layers... per layer) —
   // at minimum, some energy was spent.

@@ -1,5 +1,6 @@
 // Telemetry subsystem: registry semantics, span recording, exporter
 // formats, the runtime switch, and the ledger-mirror exactness contract.
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <fstream>
@@ -159,6 +160,83 @@ TEST_F(TelemetryTest, HistogramRejectsUnsortedBounds) {
   EXPECT_THROW(Histogram({1.0, 1.0}), Error);
 }
 
+// --- the latency ladder -----------------------------------------------------
+
+TEST_F(TelemetryTest, LatencyLadderIsLogSpacedFrom100nsTo100s) {
+  const std::vector<double>& b = latency_buckets_seconds();
+  // Built once: every call hands out the same ladder.
+  EXPECT_EQ(&b, &latency_buckets_seconds());
+  ASSERT_EQ(b.size(), 1048u);
+  EXPECT_DOUBLE_EQ(b.front(), 1e-7);
+  EXPECT_GE(b.back(), 100.0);
+  EXPECT_LE(kLatencyBucketRatio, 1.02);  // γ − 1 ≤ 2%
+  for (std::size_t i = 1; i < b.size(); ++i) {
+    EXPECT_NEAR(b[i] / b[i - 1], kLatencyBucketRatio, 1e-12);
+  }
+}
+
+TEST_F(TelemetryTest, LatencyQuantilesAreWithinTheLadderRatio) {
+  // Seeded lognormal latencies around 50 µs with a heavy tail: every
+  // estimate lands in the bucket of the order statistic it targets, and
+  // buckets are γ wide, so the relative error is at most γ − 1.
+  Rng rng(2019);
+  Histogram h(latency_buckets_seconds());
+  std::vector<double> samples(100000);
+  for (double& v : samples) {
+    v = 50e-6 * std::exp(rng.normal(0.0, 1.0));
+    h.observe(v);
+  }
+  std::sort(samples.begin(), samples.end());
+  const HistogramSnapshot s = h.snapshot();
+  for (const double q : {0.50, 0.90, 0.99}) {
+    // quantile() targets the 1-based rank ceil(q·n).
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(samples.size())));
+    const double exact = samples[rank - 1];
+    EXPECT_LE(std::abs(s.quantile(q) - exact),
+              (kLatencyBucketRatio - 1.0) * exact)
+        << "q=" << q;
+  }
+  EXPECT_EQ(s.count, samples.size());
+  EXPECT_EQ(s.min, samples.front());
+  EXPECT_EQ(s.max, samples.back());
+}
+
+TEST_F(TelemetryTest, HistogramMergeEqualsObservingTheUnion) {
+  // Multiples of 2^-20 whose partial sums stay below 2^53 units add
+  // exactly in any order, so sum must match bit for bit.
+  Rng rng(7);
+  const std::vector<double>& ladder = latency_buckets_seconds();
+  Histogram a(ladder);
+  Histogram b(ladder);
+  Histogram all(ladder);
+  for (int i = 0; i < 5000; ++i) {
+    const double v = static_cast<double>(rng.uniform_int(1, 1 << 24)) *
+                     0x1p-20;
+    (rng.bernoulli(0.3) ? a : b).observe(v);
+    all.observe(v);
+  }
+  a.merge(b.snapshot());
+  const HistogramSnapshot m = a.snapshot();
+  const HistogramSnapshot u = all.snapshot();
+  EXPECT_EQ(m.counts, u.counts);
+  EXPECT_EQ(m.count, u.count);
+  EXPECT_EQ(m.min, u.min);
+  EXPECT_EQ(m.max, u.max);
+  EXPECT_EQ(m.sum, u.sum);
+  EXPECT_NEAR(m.mean, u.mean, 1e-12 * u.mean);
+  EXPECT_NEAR(m.stddev, u.stddev, 1e-12 * u.stddev);
+  EXPECT_EQ(m.quantile(0.99), u.quantile(0.99));
+}
+
+TEST_F(TelemetryTest, HistogramMergeRejectsOtherBounds) {
+  Histogram h({1.0, 2.0});
+  Histogram other({1.0, 3.0});
+  other.observe(0.5);
+  EXPECT_THROW(h.merge(other.snapshot()), Error);
+  EXPECT_EQ(h.snapshot().count, 0u);
+}
+
 TEST_F(TelemetryTest, CountersSurviveValueReset) {
   MetricsRegistry& reg = MetricsRegistry::global();
   Counter& c = reg.counter("test_reset_total");
@@ -184,11 +262,18 @@ TEST_F(TelemetryTest, SnapshotIsSortedByName) {
 TEST_F(TelemetryTest, CollectorSamplesMergeWithOwnedCountersByName) {
   MetricsRegistry reg;
   reg.counter("shared_total", "owned help").add(7);
-  const CollectorHandle handle =
-      reg.add_collector([](std::vector<CounterSample>& out) {
+  reg.histogram("shared_seconds", {1.0, 2.0}, "owned help").observe(0.5);
+  Histogram theirs({1.0, 2.0});
+  theirs.observe(1.5);
+  theirs.observe(7.0);
+  const CollectorHandle handle = reg.add_collector(
+      [&theirs](std::vector<CounterSample>& out,
+                std::vector<HistogramSample>& histograms) {
         out.push_back({"shared_total", "collector help", 3});
         out.push_back({"another_total", "only here", 1});
         out.push_back({"shared_total", "", 10});
+        histograms.push_back({"shared_seconds", "", theirs.snapshot()});
+        histograms.push_back({"shared_seconds", "", theirs.snapshot()});
       });
   const MetricsSnapshot s = reg.snapshot();
   ASSERT_EQ(s.counters.size(), 2u);
@@ -196,30 +281,52 @@ TEST_F(TelemetryTest, CollectorSamplesMergeWithOwnedCountersByName) {
   EXPECT_EQ(s.counters[1].name, "shared_total");
   EXPECT_EQ(s.counters[1].value, 20u);
   EXPECT_EQ(s.counters[1].help, "owned help");
+  // Same-name histograms merge bucket-wise into one series.
+  ASSERT_EQ(s.histograms.size(), 1u);
+  EXPECT_EQ(s.histograms[0].help, "owned help");
+  const HistogramSnapshot& h = s.histograms[0].data;
+  EXPECT_EQ(h.counts, (std::vector<std::uint64_t>{1, 2, 2}));
+  EXPECT_EQ(h.count, 5u);
+  EXPECT_DOUBLE_EQ(h.sum, 17.5);
+  EXPECT_DOUBLE_EQ(h.min, 0.5);
+  EXPECT_DOUBLE_EQ(h.max, 7.0);
   // reset_values() zeroes only what the registry owns.
   reg.reset_values();
-  EXPECT_EQ(reg.snapshot().counter_value("shared_total"), 13u);
+  const MetricsSnapshot after = reg.snapshot();
+  EXPECT_EQ(after.counter_value("shared_total"), 13u);
+  EXPECT_EQ(after.histogram_data("shared_seconds")->count, 4u);
 }
 
 TEST_F(TelemetryTest, DroppedCollectorFoldsItsFinalValues) {
   MetricsRegistry reg;
   std::uint64_t live = 5;
+  Histogram latency(latency_buckets_seconds());
   {
-    const CollectorHandle handle =
-        reg.add_collector([&live](std::vector<CounterSample>& out) {
+    const CollectorHandle handle = reg.add_collector(
+        [&live, &latency](std::vector<CounterSample>& out,
+                          std::vector<HistogramSample>& histograms) {
           out.push_back({"folded_total", "from a collector", live});
+          histograms.push_back(
+              {"folded_seconds", "from a collector", latency.snapshot()});
         });
     live = 9;
+    latency.observe(0.25);
     EXPECT_EQ(reg.snapshot().counter_value("folded_total"), 9u);
   }
   live = 100;  // no longer read
+  latency.observe(0.5);
   const MetricsSnapshot s = reg.snapshot();
   EXPECT_EQ(s.counter_value("folded_total"), 9u);
   ASSERT_EQ(s.counters.size(), 1u);
   EXPECT_EQ(s.counters[0].help, "from a collector");
-  // The fold is an owned counter now: reset_values() zeroes it.
+  ASSERT_EQ(s.histograms.size(), 1u);
+  EXPECT_EQ(s.histograms[0].help, "from a collector");
+  EXPECT_EQ(s.histograms[0].data.count, 1u);
+  EXPECT_DOUBLE_EQ(s.histograms[0].data.max, 0.25);
+  // The folds are owned instruments now: reset_values() zeroes them.
   reg.reset_values();
   EXPECT_EQ(reg.snapshot().counter_value("folded_total"), 0u);
+  EXPECT_EQ(reg.snapshot().histogram_data("folded_seconds")->count, 0u);
 }
 
 nn::Mlp collector_test_model() {
@@ -245,6 +352,12 @@ TEST_F(TelemetryTest, TwoServersContributeTheirSum) {
   };
   serving::ServerConfig cfg;
   cfg.replicas = 1;
+  const auto sojourns = [&reg] {
+    const MetricsSnapshot snap = reg.snapshot();
+    const HistogramSnapshot* h =
+        snap.histogram_data("trident_serving_sojourn_seconds");
+    return h == nullptr ? std::uint64_t{0} : h->count;
+  };
   {
     serving::Server a(collector_test_model(), cfg);
     serving::Server b(collector_test_model(), cfg);
@@ -254,8 +367,17 @@ TEST_F(TelemetryTest, TwoServersContributeTheirSum) {
     EXPECT_EQ(reg.snapshot().counter_value(
                   "trident_serving_requests_accepted_total"),
               8u);
+    EXPECT_EQ(sojourns(), 8u);
+    {
+      serving::Server c(collector_test_model(), cfg);
+      serve(c, 2);
+      EXPECT_EQ(sojourns(), 10u);
+    }
+    // c's histogram folded into the registry's own as it went away.
+    EXPECT_EQ(sojourns(), 10u);
   }
-  EXPECT_EQ(completed(), 8u);
+  EXPECT_EQ(completed(), 10u);
+  EXPECT_EQ(sojourns(), 10u);
 }
 
 TEST_F(TelemetryTest, ScrapesNeverSeeServingTotalsDecrease) {
@@ -266,14 +388,20 @@ TEST_F(TelemetryTest, ScrapesNeverSeeServingTotalsDecrease) {
   std::atomic<bool> done{false};
   std::uint64_t decreases = 0;
   std::uint64_t last = 0;
+  std::uint64_t last_sojourns = 0;
   std::thread scraper([&] {
     while (!done.load(std::memory_order_acquire)) {
-      const std::uint64_t now = reg.snapshot().counter_value(
-          "trident_serving_requests_completed_total");
-      if (now < last) {
+      const MetricsSnapshot snap = reg.snapshot();
+      const std::uint64_t now =
+          snap.counter_value("trident_serving_requests_completed_total");
+      const HistogramSnapshot* h =
+          snap.histogram_data("trident_serving_sojourn_seconds");
+      const std::uint64_t sojourns = h == nullptr ? 0 : h->count;
+      if (now < last || sojourns < last_sojourns) {
         ++decreases;
       }
       last = now;
+      last_sojourns = sojourns;
     }
   });
   serving::ServerConfig cfg;
@@ -285,8 +413,10 @@ TEST_F(TelemetryTest, ScrapesNeverSeeServingTotalsDecrease) {
   done.store(true, std::memory_order_release);
   scraper.join();
   EXPECT_EQ(decreases, 0u);
-  EXPECT_EQ(reg.snapshot().counter_value(
-                "trident_serving_requests_completed_total"),
+  const MetricsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counter_value("trident_serving_requests_completed_total"),
+            static_cast<std::uint64_t>(kServers * kRequests));
+  EXPECT_EQ(snap.histogram_data("trident_serving_sojourn_seconds")->count,
             static_cast<std::uint64_t>(kServers * kRequests));
 }
 
