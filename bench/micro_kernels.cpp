@@ -16,6 +16,7 @@
 #include "core/spectral_bank.hpp"
 #include "core/quantized_backend.hpp"
 #include "core/weight_bank.hpp"
+#include "common/quantize.hpp"
 #include "common/rng.hpp"
 #include "nn/int8_gemm.hpp"
 #include "dataflow/analyzer.hpp"
@@ -336,6 +337,32 @@ void BM_WeightBankApplyBatch(benchmark::State& state) {
                               static_cast<std::size_t>(n * n) * batch));
 }
 BENCHMARK(BM_WeightBankApplyBatch)->ArgsProduct({{8, 16}, {8, 32}});
+
+/// The DAC span kernel on one sample of `width` elements: the range scan
+/// plus the per-element level pass, into the photonic tier's double
+/// operand or the quantized tier's int8 levels.  Items are elements.
+template <typename Out>
+void BM_DacQuantize(benchmark::State& state) {
+  const auto width = static_cast<std::size_t>(state.range(0));
+  const SymmetricQuantizer q(8);
+  Rng rng(4);
+  std::vector<double> x(width);
+  for (double& v : x) {
+    v = rng.uniform(-1.5, 1.5);
+  }
+  std::vector<double> scale(1);
+  std::vector<Out> out(width);
+  for (auto _ : state) {
+    dac_quantize(x, width, q, scale, out);
+    benchmark::DoNotOptimize(scale.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(width));
+}
+BENCHMARK_TEMPLATE(BM_DacQuantize, double)->Arg(16)->Arg(512)->Arg(4096);
+BENCHMARK_TEMPLATE(BM_DacQuantize, std::int8_t)->Arg(16)->Arg(512)->Arg(4096);
 
 void BM_PhotonicBackendRank1(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -13,11 +13,21 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "common/error.hpp"
 
 namespace trident {
+
+/// The nearest whole number to `v`, ties away from zero: lround(v) as a
+/// double, bit for bit, but branch free so span loops vectorize (`v - t` is
+/// exact, so ties are seen exactly).  Level zero is +0.0, as lround's
+/// integer converts back: the +0.0 "no carry" clears trunc's -0.0.  NaN,
+/// for which lround is unspecified, maps to level 0.
+[[nodiscard]] inline double nearest_level(double v) {
+  const double t = std::trunc(v);
+  const double carry = std::abs(v - t) >= 0.5 ? std::copysign(1.0, v) : 0.0;
+  return v == v ? t + carry : 0.0;
+}
 
 /// A symmetric uniform quantizer over [-range, +range] with `bits` of
 /// resolution: 2^bits - 1 levels, level 0 at the midpoint, zero exactly
@@ -40,16 +50,11 @@ class SymmetricQuantizer {
   [[nodiscard]] double range() const { return range_; }
 
   /// Signed level index in [-half_steps, +half_steps]; values outside
-  /// [-range, range] saturate.  NaN maps to level 0: std::clamp passes NaN
-  /// through and std::lround's result for it is unspecified, so the
-  /// quantizer defines it rather than inherit whatever the platform does.
+  /// [-range, range] saturate and NaN maps to level 0 (see nearest_level).
   /// (Detecting the NaN is the caller's job; this only keeps it defined.)
   [[nodiscard]] int to_level(double x) const {
-    if (std::isnan(x)) {
-      return 0;
-    }
-    const double clamped = std::clamp(x, -range_, range_);
-    return static_cast<int>(std::lround(clamped / step_));
+    return static_cast<int>(
+        nearest_level(std::clamp(x, -range_, range_) / step_));
   }
 
   /// Reconstruction value of a level index.
@@ -61,62 +66,6 @@ class SymmetricQuantizer {
   /// Round-trip quantization of a single value.
   [[nodiscard]] double quantize(double x) const { return from_level(to_level(x)); }
 
-  /// Quantize a whole vector in place.
-  void quantize(std::span<double> xs) const {
-    for (double& x : xs) {
-      x = quantize(x);
-    }
-  }
-
-  /// Quantize into a fresh vector.
-  [[nodiscard]] std::vector<double> quantized(std::span<const double> xs) const {
-    std::vector<double> out(xs.begin(), xs.end());
-    quantize(out);
-    return out;
-  }
-
-  // --- bulk level conversion (LUT builders, int8 panel packing) ----------
-  //
-  // The span overloads are the quantized tier's fast path: weight panels
-  // and input blocks convert to level indices in one pass, and the int8
-  // variants feed the integer GEMM kernels directly.
-
-  /// out[i] = to_level(xs[i]).  Spans must have equal length.
-  void to_levels(std::span<const double> xs, std::span<int> out) const {
-    TRIDENT_REQUIRE(xs.size() == out.size(), "to_levels span size mismatch");
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      out[i] = to_level(xs[i]);
-    }
-  }
-
-  /// Narrow variant for packed int8 panels; every level of a ≤ 8-bit grid
-  /// fits the byte ([-127, 127] at 8 bits, so -128 never appears).
-  void to_levels(std::span<const double> xs, std::span<std::int8_t> out) const {
-    TRIDENT_REQUIRE(xs.size() == out.size(), "to_levels span size mismatch");
-    TRIDENT_REQUIRE(bits_ <= 8, "int8 levels require bits <= 8");
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      out[i] = static_cast<std::int8_t>(to_level(xs[i]));
-    }
-  }
-
-  /// out[i] = from_level(levels[i]).  Spans must have equal length.
-  void from_levels(std::span<const int> levels, std::span<double> out) const {
-    TRIDENT_REQUIRE(levels.size() == out.size(),
-                    "from_levels span size mismatch");
-    for (std::size_t i = 0; i < levels.size(); ++i) {
-      out[i] = from_level(levels[i]);
-    }
-  }
-
-  void from_levels(std::span<const std::int8_t> levels,
-                   std::span<double> out) const {
-    TRIDENT_REQUIRE(levels.size() == out.size(),
-                    "from_levels span size mismatch");
-    for (std::size_t i = 0; i < levels.size(); ++i) {
-      out[i] = from_level(levels[i]);
-    }
-  }
-
   /// Worst-case absolute rounding error for in-range inputs (= step / 2).
   [[nodiscard]] double max_rounding_error() const { return step_ / 2.0; }
 
@@ -127,6 +76,28 @@ class SymmetricQuantizer {
   int half_steps_;
   double step_;
 };
+
+/// Input DAC over a row-major block of samples, `cols` values each (the
+/// multiversioned kernel in common/quantize.cpp).  Per sample b,
+/// s = max(1, max|x_b|) goes to scale[b] (a NaN does not raise s, as in
+/// std::max(s, |v|)) and out[i] = nearest_level(clamp(x[i] / s, -range,
+/// range) / step) · step, i.e. q.quantize(x[i] / s) bit for bit: both
+/// divides are kept, since x·(1/s) differs from x / s in the last bit.
+/// `out` is x's size; `scale` has at least x.size() / cols entries.
+void dac_quantize(std::span<const double> x, std::size_t cols,
+                  const SymmetricQuantizer& q, std::span<double> scale,
+                  std::span<double> out);
+
+/// The same pass with the level indices out, for the int8 GEMM; the grid
+/// must have at most 8 bits ([-127, 127], so -128 never appears).
+void dac_quantize(std::span<const double> x, std::size_t cols,
+                  const SymmetricQuantizer& q, std::span<double> scale,
+                  std::span<std::int8_t> out);
+
+/// Levels of values already at unit scale (s = 1, no scan): the int8
+/// weight-panel packing.  Out-of-range weights saturate.
+void pack_levels(std::span<const double> w, const SymmetricQuantizer& q,
+                 std::span<std::int8_t> out);
 
 /// Unsigned quantizer over [0, range]: `2^bits - 1` levels above zero.
 /// Used for the optical signal amplitudes (light intensity is non-negative);
@@ -145,13 +116,9 @@ class UnsignedQuantizer {
   [[nodiscard]] double step() const { return step_; }
 
   /// Level index in [0, levels]; values outside [0, range] saturate and
-  /// NaN maps to level 0 (see SymmetricQuantizer::to_level).
+  /// NaN maps to level 0 (see nearest_level).
   [[nodiscard]] int to_level(double x) const {
-    if (std::isnan(x)) {
-      return 0;
-    }
-    const double clamped = std::clamp(x, 0.0, range_);
-    return static_cast<int>(std::lround(clamped / step_));
+    return static_cast<int>(nearest_level(std::clamp(x, 0.0, range_) / step_));
   }
   [[nodiscard]] double from_level(int level) const {
     TRIDENT_REQUIRE(level >= 0 && level <= levels_, "level index out of range");

@@ -189,26 +189,6 @@ void PhotonicBackend::ensure_programmed(const nn::Matrix& w) {
   resident_matrix_ = static_cast<const void*>(&w);
 }
 
-void PhotonicBackend::quantize_inputs(const nn::Matrix& x, nn::Vector& scale,
-                                      nn::Matrix& xq) const {
-  // Input DAC: hardware range is [-1, 1] after the polarity split, so each
-  // sample is electronically pre-scaled into range and the scale re-applied
-  // at the TIA.
-  xq.reshape(x.rows(), x.cols());
-  for (std::size_t b = 0; b < x.rows(); ++b) {
-    const auto row = x.row(b);
-    double s = 1.0;
-    for (double v : row) {
-      s = std::max(s, std::abs(v));
-    }
-    scale[b] = s;
-    auto q = xq.row(b);
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      q[c] = input_quantizer_.quantize(row[c] / s);
-    }
-  }
-}
-
 void PhotonicBackend::noise_and_rescale(nn::Matrix& y,
                                         const nn::Vector& scale) {
   // Read-out noise and TIA re-scaling; draws run per sample, then per row.
@@ -228,9 +208,12 @@ nn::Matrix PhotonicBackend::matmul(const nn::Matrix& w, const nn::Matrix& x) {
   ensure_programmed(w);
   const std::size_t batch = x.rows();
 
+  // Input DAC: hardware range is [-1, 1] after the polarity split, so each
+  // sample is electronically pre-scaled into range and the scale re-applied
+  // at the TIA.
   nn::Vector scale(batch);
-  nn::Matrix xq;
-  quantize_inputs(x, scale, xq);
+  nn::Matrix xq(batch, x.cols());
+  dac_quantize(x.data(), x.cols(), input_quantizer_, scale, xq.data());
 
   nn::Matrix clamped;
   nn::Matrix y = saturated(w, clamped).matmul(xq);
@@ -262,7 +245,8 @@ bool PhotonicBackend::run_plan(const nn::ExecutionPlan& plan,
     ensure_programmed(layer.weights);
 
     // Input DAC, same pass as matmul but into arena scratch.
-    quantize_inputs(*cur, scale, xq);
+    xq.reshape(batch, cur->cols());
+    dac_quantize(cur->data(), cur->cols(), input_quantizer_, scale, xq.data());
 
     const bool last = (k == depth - 1);
     nn::Matrix& y = last ? arena.out() : arena.act(k);
@@ -312,8 +296,8 @@ nn::Matrix PhotonicBackend::matmul_transposed(const nn::Matrix& w,
   resident_matrix_ = nullptr;
 
   nn::Vector scale(batch);
-  nn::Matrix xq;
-  quantize_inputs(x, scale, xq);
+  nn::Matrix xq(batch, x.cols());
+  dac_quantize(x.data(), x.cols(), input_quantizer_, scale, xq.data());
 
   nn::Matrix clamped;
   nn::Matrix y = saturated(w, clamped).matmul_transposed(xq);
@@ -360,7 +344,7 @@ void PhotonicBackend::update_batch(nn::Matrix& w, const nn::Matrix& dh,
     } else {
       changed = nearest_round_update(w.data().data(), w.rows(), w.cols(),
                                      dhb.data(), yb.data(), lr,
-                                     weight_quantizer_);
+                                     weight_quantizer_.step());
     }
     // Only cells whose level actually moved receive a write pulse.
     ledger_.weight_writes += changed;

@@ -145,10 +145,6 @@ class PhotonicBackend final : public nn::MatvecBackend {
  private:
   /// Charges programming for `w` unless it is still resident.
   void ensure_programmed(const nn::Matrix& w);
-  /// Input DAC: per-sample range scale into `scale` (≥ x.rows() entries)
-  /// and the quantized block into `xq` (reshaped to x's shape).
-  void quantize_inputs(const nn::Matrix& x, nn::Vector& scale,
-                       nn::Matrix& xq) const;
   /// Read-out noise and TIA re-scale, drawn per sample then per row.
   void noise_and_rescale(nn::Matrix& y, const nn::Vector& scale);
 

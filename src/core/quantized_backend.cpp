@@ -14,15 +14,6 @@ namespace trident::core {
 
 namespace {
 
-/// max(1, max|row|): the per-sample DAC pre-scale PhotonicBackend applies.
-double dac_scale(std::span<const double> row) {
-  double s = 1.0;
-  for (double v : row) {
-    s = std::max(s, std::abs(v));
-  }
-  return s;
-}
-
 /// Exact Lipschitz constant of the (piecewise-linear, kink-at-zero)
 /// activations: the steeper of the two unit slopes.  Measuring it from
 /// apply_activation keeps the bound honest if the GST slope ever changes.
@@ -46,23 +37,6 @@ QuantizedBackend::QuantizedBackend(const QuantizedBackendConfig& config)
                   "quantized tier input grid must fit int8");
 }
 
-void QuantizedBackend::quantize_inputs(const nn::Matrix& x,
-                                       std::span<double> scale,
-                                       std::span<double> scaled,
-                                       std::span<std::int8_t> xq) const {
-  // Per-sample DAC scale, then one int8 quantization pass over the block.
-  const std::size_t cols = x.cols();
-  for (std::size_t b = 0; b < x.rows(); ++b) {
-    const auto row = x.row(b);
-    const double s = dac_scale(row);
-    scale[b] = s;
-    for (std::size_t c = 0; c < cols; ++c) {
-      scaled[c] = row[c] / s;
-    }
-    input_quantizer_.to_levels(scaled.first(cols), xq.subspan(b * cols, cols));
-  }
-}
-
 void QuantizedBackend::rescale(const std::int32_t* acc,
                                std::span<const double> scale,
                                nn::Matrix& y) const {
@@ -76,15 +50,6 @@ void QuantizedBackend::rescale(const std::int32_t* acc,
       yr[j] = static_cast<double>(ar[j]) * unit * scale[b];
     }
   }
-}
-
-const std::vector<std::int8_t>& QuantizedBackend::pack_weights(
-    const nn::Matrix& w) {
-  // to_level saturates outside [-1, 1], which doubles as the clamp the
-  // photonic path applies to externally-set out-of-range weights.
-  weight_levels_.resize(w.size());
-  weight_quantizer_.to_levels(w.data(), weight_levels_);
-  return weight_levels_;
 }
 
 void QuantizedBackend::ensure_programmed(const nn::Matrix& w) {
@@ -102,19 +67,21 @@ void QuantizedBackend::ensure_programmed(const nn::Matrix& w) {
 
 nn::Matrix QuantizedBackend::matmul(const nn::Matrix& w, const nn::Matrix& x) {
   TRIDENT_REQUIRE(x.cols() == w.cols(), "matmul dimension mismatch");
-  const std::vector<std::int8_t>& levels = pack_weights(w);
+  weight_levels_.resize(w.size());
+  pack_levels(w.data(), weight_quantizer_, weight_levels_);
   ensure_programmed(w);
   const std::size_t batch = x.rows();
   const std::size_t rows = w.rows();
   const std::size_t cols = w.cols();
 
+  // The photonic input DAC, with level indices out for the int8 GEMM.
   std::vector<double> scale(batch);
-  std::vector<double> scaled(cols);
   std::vector<std::int8_t> xq(batch * cols);
-  quantize_inputs(x, scale, scaled, xq);
+  dac_quantize(x.data(), cols, input_quantizer_, scale, xq);
 
   std::vector<std::int32_t> acc(batch * rows);
-  nn::int8_gemm(levels.data(), rows, cols, xq.data(), batch, acc.data());
+  nn::int8_gemm(weight_levels_.data(), rows, cols, xq.data(), batch,
+                acc.data());
 
   nn::Matrix y(batch, rows);
   rescale(acc.data(), scale, y);
@@ -140,7 +107,6 @@ bool QuantizedBackend::run_plan(const nn::ExecutionPlan& plan,
   const double unit = weight_quantizer_.step() * input_quantizer_.step();
   const nn::Matrix* cur = &x;
   nn::Vector& scale = arena.scale();
-  nn::Vector& scaled = arena.scratch();
   std::vector<std::int8_t>& xq = arena.int8_input();
   std::vector<std::int32_t>& acc = arena.int32_acc();
   for (int k = 0; k < depth; ++k) {
@@ -150,7 +116,8 @@ bool QuantizedBackend::run_plan(const nn::ExecutionPlan& plan,
     TRIDENT_REQUIRE(cols <= nn::kInt8GemmMaxCols,
                     "layer fan-in too large for exact int32 accumulation");
     ensure_programmed(layer.weights);
-    quantize_inputs(*cur, scale, scaled, xq);
+    dac_quantize(cur->data(), cols, input_quantizer_, scale,
+                 std::span(xq).first(batch * cols));
 
     // The plan's immutable panel replaces the per-call re-pack matmul does.
     nn::int8_gemm(layer.levels.data(), rows, cols, xq.data(), batch,
@@ -196,7 +163,8 @@ bool QuantizedBackend::run_plan(const nn::ExecutionPlan& plan,
 nn::Matrix QuantizedBackend::matmul_transposed(const nn::Matrix& w,
                                                const nn::Matrix& x) {
   TRIDENT_REQUIRE(x.cols() == w.rows(), "transposed matmul dimension mismatch");
-  const std::vector<std::int8_t>& levels = pack_weights(w);
+  weight_levels_.resize(w.size());
+  pack_levels(w.data(), weight_quantizer_, weight_levels_);
   const std::size_t batch = x.rows();
   const std::size_t rows = w.rows();
   const std::size_t cols = w.cols();
@@ -212,12 +180,11 @@ nn::Matrix QuantizedBackend::matmul_transposed(const nn::Matrix& w,
   resident_matrix_ = nullptr;
 
   std::vector<double> scale(batch);
-  std::vector<double> scaled(rows);
   std::vector<std::int8_t> xq(batch * rows);
-  quantize_inputs(x, scale, scaled, xq);
+  dac_quantize(x.data(), rows, input_quantizer_, scale, xq);
 
   std::vector<std::int32_t> acc(batch * cols);
-  nn::int8_gemm_transposed(levels.data(), rows, cols, xq.data(), batch,
+  nn::int8_gemm_transposed(weight_levels_.data(), rows, cols, xq.data(), batch,
                            acc.data());
 
   nn::Matrix y(batch, cols);
@@ -247,7 +214,7 @@ void QuantizedBackend::update_batch(nn::Matrix& w, const nn::Matrix& dh,
     // noise-free PhotonicBackend (round-to-nearest level, sub-LSB loss).
     const std::uint64_t changed = nearest_round_update(
         w.data().data(), w.rows(), w.cols(), dhb.data(), yb.data(), lr,
-        weight_quantizer_);
+        weight_quantizer_.step());
     ledger_.weight_writes += changed;
     if (changed > 0) {
       ledger_.program_events += 1;

@@ -122,14 +122,6 @@ class QuantizedBackend final : public nn::MatvecBackend {
   }
 
  private:
-  /// Packs `w` into int8 levels in weight_levels_ (reused across calls).
-  [[nodiscard]] const std::vector<std::int8_t>& pack_weights(
-      const nn::Matrix& w);
-  /// Input DAC onto the int8 grid: per-sample range scale into `scale`,
-  /// row-major levels into `xq`; `scaled` is scratch of ≥ x.cols() entries.
-  void quantize_inputs(const nn::Matrix& x, std::span<double> scale,
-                       std::span<double> scaled,
-                       std::span<std::int8_t> xq) const;
   /// TIA re-scale of exact int32 accumulators into y (already shaped):
   /// y(b, j) = acc[b·cols + j] · w_step · x_step · scale[b].
   void rescale(const std::int32_t* acc, std::span<const double> scale,
@@ -140,6 +132,7 @@ class QuantizedBackend final : public nn::MatvecBackend {
   SymmetricQuantizer weight_quantizer_;
   SymmetricQuantizer input_quantizer_;
   PhotonicLedger ledger_;
+  /// Per-op int8 re-pack of the weights (reused across calls).
   std::vector<std::int8_t> weight_levels_;
   const void* resident_matrix_ = nullptr;
 };

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/kernel_clones.hpp"
+#include "common/quantize.hpp"
 
 // This file builds with -ffp-contract=off, so no clone fuses the update's
 // multiply and subtract into an FMA the scalar loop never performed, and
@@ -14,21 +15,24 @@
 
 namespace trident::core {
 
-std::uint64_t nearest_round_update(double* w, std::size_t rows,
-                                   std::size_t cols, const double* dh,
-                                   const double* y, double lr,
-                                   const SymmetricQuantizer& quantizer) {
+TRIDENT_KERNEL_CLONES
+std::uint64_t nearest_round_update(double* __restrict w, std::size_t rows,
+                                   std::size_t cols,
+                                   const double* __restrict dh,
+                                   const double* __restrict y, double lr,
+                                   double step) {
   std::uint64_t changed = 0;
   for (std::size_t r = 0; r < rows; ++r) {
-    double* row = w + r * cols;
+    // Hoisted as in stochastic_round_update below.
+    const double g = lr * dh[r];
+    double* __restrict row = w + r * cols;
     for (std::size_t c = 0; c < cols; ++c) {
-      const double target = row[c] - lr * dh[r] * y[c];
-      const double quantized =
-          quantizer.quantize(std::clamp(target, -1.0, 1.0));
-      if (quantized != row[c]) {
-        row[c] = quantized;
-        ++changed;
-      }
+      const double old = row[c];
+      const double unit = std::clamp(old - g * y[c], -1.0, 1.0);
+      const double q = nearest_level(unit / step) * step;
+      const bool moved = q != old;
+      row[c] = moved ? q : old;
+      changed += moved ? 1u : 0u;
     }
   }
   return changed;

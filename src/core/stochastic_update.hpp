@@ -15,18 +15,16 @@
 #include <random>
 #include <span>
 
-#include "common/quantize.hpp"
-
 namespace trident::core {
 
 /// One sample's deterministic in-situ update of the row-major
 /// (rows × cols) weight matrix `w`, in place: each cell whose nearest level
-/// quantizer.quantize(clamp(w[r,c] - lr·dh[r]·y[c], -1, 1)) differs from
-/// it is stored.  Returns the number of cells stored (GST write pulses).
+/// q = nearest_level(clamp(w[r,c] - (lr·dh[r])·y[c], -1, 1) / step)·step
+/// (SymmetricQuantizer::quantize of the clamped target) differs from it
+/// stores q.  Returns the number of cells stored (GST write pulses).
 std::uint64_t nearest_round_update(double* w, std::size_t rows,
                                    std::size_t cols, const double* dh,
-                                   const double* y, double lr,
-                                   const SymmetricQuantizer& quantizer);
+                                   const double* y, double lr, double step);
 
 /// The uniform draw std::generate_canonical<double, 53> makes from one
 /// 64-bit engine output x: double(x)·2⁻⁶⁴, clamped to the largest double

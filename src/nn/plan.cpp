@@ -56,7 +56,6 @@ void PlanArena::ensure(const ExecutionPlan& plan, std::size_t batch) {
   act_b_.reshape(batch_hw_, width_hw_);
   quantized_.reshape(batch_hw_, width_hw_);
   scale_.resize(batch_hw_);
-  scratch_.resize(width_hw_);
   int8_.resize(batch_hw_ * width_hw_);
   acc_.resize(batch_hw_ * width_hw_);
 }
@@ -99,10 +98,9 @@ ExecutionPlan::ExecutionPlan(const Mlp& model, const PlanConfig& config)
       }
       layer.norm_inf = std::max(layer.norm_inf, l1);
     }
-    // Quantized panel: same packing as QuantizedBackend::matmul
-    // (to_level saturates outside [-1, 1], which doubles as the clamp).
+    // Quantized panel: same packing as QuantizedBackend::matmul.
     layer.levels.resize(layer.weights.size());
-    wq.to_levels(layer.weights.data(), layer.levels);
+    pack_levels(layer.weights.data(), wq, layer.levels);
     layers_.push_back(std::move(layer));
   }
 

@@ -83,8 +83,6 @@ class PlanArena {
   [[nodiscard]] Matrix& quantized() { return quantized_; }
   /// Per-sample DAC scales.
   [[nodiscard]] Vector& scale() { return scale_; }
-  /// Per-sample normalised row (quantized tier staging).
-  [[nodiscard]] Vector& scratch() { return scratch_; }
   /// int8 input levels (batch × max_width).
   [[nodiscard]] std::vector<std::int8_t>& int8_input() { return int8_; }
   /// int32 GEMM accumulators (batch × max_width).
@@ -98,7 +96,6 @@ class PlanArena {
   Matrix act_b_;
   Matrix quantized_;
   Vector scale_;
-  Vector scratch_;
   std::vector<std::int8_t> int8_;
   std::vector<std::int32_t> acc_;
 };

@@ -196,9 +196,13 @@ void write_prometheus(const MetricsSnapshot& snapshot, std::ostream& os) {
   }
   for (const auto& h : snapshot.histograms) {
     header(h.name, h.help, "histogram");
-    // Prometheus buckets are cumulative and end at +Inf.
+    // Prometheus buckets are cumulative and end at +Inf.  Empty finite
+    // buckets are skipped; counts only grow, so the series set only grows.
     std::uint64_t cumulative = 0;
     for (std::size_t i = 0; i < h.data.bounds.size(); ++i) {
+      if (h.data.counts[i] == 0) {
+        continue;
+      }
       cumulative += h.data.counts[i];
       os << h.name << "_bucket{le=\"" << format_double(h.data.bounds[i])
          << "\"} " << cumulative << '\n';
@@ -276,13 +280,13 @@ void write_json_snapshot(const MetricsSnapshot& snapshot, std::ostream& os) {
        << ",\"p90\":" << json_number_or_null(h.data.quantile(0.90))
        << ",\"p99\":" << json_number_or_null(h.data.quantile(0.99))
        << ",\"buckets\":[";
-    for (std::size_t i = 0; i < h.data.counts.size(); ++i) {
-      os << (i == 0 ? "" : ",") << "{\"le\":"
-         << (i < h.data.bounds.size() ? format_double(h.data.bounds[i])
-                                      : std::string("null"))
-         << ",\"count\":" << h.data.counts[i] << '}';
+    for (std::size_t i = 0; i < h.data.bounds.size(); ++i) {
+      if (h.data.counts[i] != 0) {
+        os << "{\"le\":" << format_double(h.data.bounds[i])
+           << ",\"count\":" << h.data.counts[i] << "},";
+      }
     }
-    os << "]}";
+    os << "{\"le\":null,\"count\":" << h.data.counts.back() << "}]}";
     first = false;
   }
   os << "}}";

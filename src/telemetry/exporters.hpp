@@ -68,7 +68,8 @@ class ChromeTraceWriter {
 void write_chrome_trace(std::span<const TraceEvent> events, std::ostream& os);
 [[nodiscard]] std::string chrome_trace_json(std::span<const TraceEvent> events);
 
-/// Prometheus text exposition (# HELP / # TYPE / samples).
+/// Prometheus text exposition (# HELP / # TYPE / samples).  Histograms
+/// write only non-empty finite buckets, then `+Inf`; so does the JSON.
 void write_prometheus(const MetricsSnapshot& snapshot, std::ostream& os);
 [[nodiscard]] std::string prometheus_text(const MetricsSnapshot& snapshot);
 

@@ -436,7 +436,10 @@ void expect_matches_per_cell_loop(const UpdateCase& tc, int steps = 4) {
 nn::Matrix grid_matrix(std::size_t rows, std::size_t cols, int bits,
                        std::uint64_t seed, double limit = 0.9) {
   nn::Matrix w = random_matrix(rows, cols, seed, limit);
-  SymmetricQuantizer(bits).quantize(w.data());
+  const SymmetricQuantizer q(bits);
+  for (double& v : w.data()) {
+    v = q.quantize(v);
+  }
   return w;
 }
 
@@ -452,6 +455,51 @@ TEST_P(StochasticUpdateShape, MatchesPerCellBernoulliLoop) {
   const auto [rows, cols, batch] = GetParam();
   expect_matches_per_cell_loop(
       {"random", 8, grid_matrix(rows, cols, 8, 40 + rows),
+       random_batch(batch, rows, 41 + cols, 0.2),
+       random_batch(batch, cols, 42, 1.0), 0.05});
+}
+
+/// Runs `steps` one-sample nearest_round_update calls per row of `tc.dh`
+/// against the per-cell quantize loop it replaced, asserting equal weight
+/// bits and changed-cell counts after every call.
+void expect_nearest_matches_per_cell_loop(const UpdateCase& tc,
+                                          int steps = 4) {
+  SCOPED_TRACE(tc.name);
+  const SymmetricQuantizer q(tc.bits);
+  nn::Matrix wk = tc.w;
+  nn::Matrix wr = tc.w;
+  for (int step = 0; step < steps; ++step) {
+    for (std::size_t b = 0; b < tc.dh.rows(); ++b) {
+      SCOPED_TRACE(step);
+      const auto dh = tc.dh.row(b);
+      const auto y = tc.y.row(b);
+      std::uint64_t want = 0;
+      for (std::size_t r = 0; r < wr.rows(); ++r) {
+        auto row = wr.row(r);
+        for (std::size_t c = 0; c < row.size(); ++c) {
+          const double target = row[c] - tc.lr * dh[r] * y[c];
+          const double quantized = q.quantize(std::clamp(target, -1.0, 1.0));
+          if (quantized != row[c]) {
+            row[c] = quantized;
+            ++want;
+          }
+        }
+      }
+      const std::uint64_t got =
+          nearest_round_update(wk.data().data(), wk.rows(), wk.cols(),
+                               dh.data(), y.data(), tc.lr, q.step());
+      ASSERT_EQ(got, want);
+      ASSERT_EQ(0, std::memcmp(wk.data().data(), wr.data().data(),
+                               wk.size() * sizeof(double)));
+    }
+  }
+}
+
+TEST_P(StochasticUpdateShape, NearestMatchesPerCellQuantizeLoop) {
+  // Off-grid starting weights, so the first call moves most cells.
+  const auto [rows, cols, batch] = GetParam();
+  expect_nearest_matches_per_cell_loop(
+      {"random", 8, random_matrix(rows, cols, 40 + rows, 0.9),
        random_batch(batch, rows, 41 + cols, 0.2),
        random_batch(batch, cols, 42, 1.0), 0.05});
 }
@@ -607,6 +655,49 @@ TEST(StochasticUpdate, NegativeZeroKeepsItsBitsUnderZeroGradient) {
     EXPECT_TRUE(std::signbit(v));
   }
   EXPECT_EQ(backend.ledger().weight_writes, 0u);
+}
+
+TEST(StochasticUpdate, NearestEdgeCasesMatchPerCellQuantizeLoop) {
+  expect_nearest_matches_per_cell_loop(
+      {"lr = 0", 8, random_matrix(7, 9, 63, 0.9), random_batch(2, 7, 64, 0.2),
+       random_batch(2, 9, 65, 1.0), 0.0});
+
+  nn::Matrix dh = random_batch(1, 7, 66, 0.2);
+  dh.at(0, 3) = std::numeric_limits<double>::quiet_NaN();
+  expect_nearest_matches_per_cell_loop({"NaN in dh", 8,
+                                        grid_matrix(7, 9, 8, 67), dh,
+                                        random_batch(1, 9, 68, 1.0), 0.05});
+
+  // A -0.0 cell under a zero gradient compares equal to its level and
+  // keeps its bits.
+  nn::Matrix w(5, 6, -0.0);
+  expect_nearest_matches_per_cell_loop({"-0.0 weights", 8, w,
+                                        nn::Matrix(1, 5, 0.0),
+                                        random_batch(1, 6, 69, 1.0), 0.05});
+  const double step = SymmetricQuantizer(8).step();
+  EXPECT_EQ(nearest_round_update(w.data().data(), w.rows(), w.cols(),
+                                 nn::Matrix(1, 5, 0.0).data().data(),
+                                 random_batch(1, 6, 69, 1.0).data().data(),
+                                 0.05, step),
+            0u);
+  for (double v : w.data()) {
+    EXPECT_TRUE(std::signbit(v));
+  }
+
+  // Off-grid cells pushed just below zero land on level 0 as +0.0.
+  nn::Matrix near_zero(2, 3, 0.3 * step);
+  const nn::Matrix push = nn::Matrix(1, 2, 1.0);
+  const nn::Matrix y(1, 3, 0.31 * step);
+  expect_nearest_matches_per_cell_loop(
+      {"just below zero", 8, near_zero, push, y, 1.0}, 1);
+  EXPECT_EQ(nearest_round_update(near_zero.data().data(), 2, 3,
+                                 push.data().data(), y.data().data(), 1.0,
+                                 step),
+            6u);
+  for (double v : near_zero.data()) {
+    EXPECT_EQ(v, 0.0);
+    EXPECT_FALSE(std::signbit(v));
+  }
 }
 
 class BackendBits : public ::testing::TestWithParam<int> {};

@@ -2,6 +2,7 @@
 // formats, the runtime switch, and the ledger-mirror exactness contract.
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -904,6 +905,66 @@ TEST_F(TelemetryTest, JsonSnapshotEmitsNumericPercentiles) {
   EXPECT_NE(json.find("\"p90\":"), std::string::npos);
   EXPECT_NE(json.find("\"p99\":"), std::string::npos);
   EXPECT_EQ(json.find("\"p50\":null"), std::string::npos);
+}
+
+TEST_F(TelemetryTest, ExportersWriteOnlyNonEmptyBuckets) {
+  // A latency-ladder histogram has 1049 buckets; the exports carry the
+  // occupied ones and +Inf, with Prometheus counts still cumulative.
+  Histogram h(latency_buckets_seconds());
+  MetricsSnapshot empty;
+  empty.histograms.push_back({"lat_seconds", "", h.snapshot()});
+  const std::string empty_json = json_snapshot(empty);
+  EXPECT_NE(empty_json.find("\"buckets\":[{\"le\":null,\"count\":0}]"),
+            std::string::npos)
+      << empty_json;
+  const std::string empty_text = prometheus_text(empty);
+  EXPECT_EQ(empty_text.find("_bucket{le=\"0"), std::string::npos);
+  EXPECT_NE(empty_text.find("lat_seconds_bucket{le=\"+Inf\"} 0\n"),
+            std::string::npos);
+
+  h.observe(2e-6);
+  h.observe(3e-3);
+  h.observe(3e-3);
+  MetricsSnapshot two;
+  two.histograms.push_back({"lat_seconds", "", h.snapshot()});
+  const HistogramSnapshot& data = two.histograms.front().data;
+  std::vector<std::size_t> occupied;
+  for (std::size_t i = 0; i + 1 < data.counts.size(); ++i) {
+    if (data.counts[i] != 0) {
+      occupied.push_back(i);
+    }
+  }
+  ASSERT_EQ(occupied.size(), 2u);
+  // The exporters print bounds in shortest round-trip form.
+  const auto shortest = [](double v) {
+    char buf[32];
+    const auto end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+    return std::string(buf, end);
+  };
+  const std::string low = shortest(data.bounds[occupied[0]]);
+  const std::string high = shortest(data.bounds[occupied[1]]);
+
+  const std::string text = prometheus_text(two);
+  std::size_t series = 0;
+  for (std::size_t at = text.find("lat_seconds_bucket{");
+       at != std::string::npos; at = text.find("lat_seconds_bucket{", at + 1)) {
+    ++series;
+  }
+  EXPECT_EQ(series, 3u);
+  EXPECT_NE(text.find("lat_seconds_bucket{le=\"" + low + "\"} 1\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("lat_seconds_bucket{le=\"" + high + "\"} 3\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("lat_seconds_bucket{le=\"+Inf\"} 3\n"),
+            std::string::npos);
+
+  const std::string json = json_snapshot(two);
+  EXPECT_NE(json.find("\"buckets\":[{\"le\":" + low +
+                      ",\"count\":1},{\"le\":" + high +
+                      ",\"count\":2},{\"le\":null,\"count\":0}]"),
+            std::string::npos)
+      << json;
 }
 
 // --- session ----------------------------------------------------------------
